@@ -31,7 +31,6 @@ from .grid import (
     maslov,
     parse_grid_text,
     realize_rectangle,
-    rectangles_from,
     trace_components,
     validate,
 )

@@ -24,7 +24,7 @@ OK, FAIL, BAD_INPUT = 0, 1, 2
 
 
 def _load_grid(path: str) -> _grid.GridDiagram:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return _grid.parse_grid_text(text)
 
 
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_grid.GridError, _moves.MoveError) as exc:
         print(f"error: {getattr(exc, 'code', 'Input')}: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except _hom.NotDivisible as exc:

@@ -32,7 +32,6 @@ Poly = dict[Monomial, int]
 class Flavor(Enum):
     MINUS = "minus"
     TILDE_GRADED = "tilde-graded"
-    MOD2_MINUS = "mod2-minus"
     MOD2_UNSIGNED = "mod2-unsigned"
 
 
@@ -90,16 +89,12 @@ def _unit(n: int) -> Monomial:
     return (0,) * n
 
 
-def _mono(ocols: tuple[int, ...]) -> Monomial:
-    return ocols
-
-
 def differential_terms(
     G: GridDiagram, x: tuple[int, ...], flavor: Flavor = Flavor.MINUS
 ) -> list[tuple[tuple[int, ...], int, Monomial]]:
     """Raw summands (target, sign, monomial) of the chosen differential on
-    the section of x.  Signs come from the group law; the mod2 flavors
-    report sign +1."""
+    the section of x.  Signs come from the group law; the mod2 flavor
+    reports sign +1."""
     out = []
     for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
         if flavor is Flavor.TILDE_GRADED and (any(ocols) or any(xcols)):
@@ -109,7 +104,7 @@ def differential_terms(
         else:
             _, phi = _right_mul(x, *label)
             sign = -1 if phi else 1
-        mono = _unit(G.n) if flavor is Flavor.TILDE_GRADED else _mono(ocols)
+        mono = _unit(G.n) if flavor is Flavor.TILDE_GRADED else ocols
         out.append((y, sign, mono))
     return out
 
@@ -187,7 +182,7 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
     x = tuple(x)
     out = ChainElement(G.n)
     for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
-        out.add(y, _mono(ocols), sign_assignment(G, x, label, variant))
+        out.add(y, ocols, sign_assignment(G, x, label, variant))
     return out
 
 
@@ -209,7 +204,7 @@ def d_squared_offenders(G: GridDiagram, flavor: Flavor = Flavor.MINUS) -> list[t
     """Generators where the differential fails to square to zero; empty on
     every valid grid."""
     d = differential_map(G, flavor)
-    mod2 = flavor in (Flavor.MOD2_MINUS, Flavor.MOD2_UNSIGNED)
+    mod2 = flavor is Flavor.MOD2_UNSIGNED
     bad = []
     for x, terms in d.items():
         acc: Counter = Counter()

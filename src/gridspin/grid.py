@@ -141,21 +141,6 @@ def count_pairs_J(A: Iterable[Sequence], B: Iterable[Sequence]) -> Fraction:
     return Fraction(count_pairs_I(A, B) + count_pairs_I(B, A), 2)
 
 
-def count_pairs_J_formal(
-    A: Iterable[tuple[int, Iterable[Sequence]]],
-    B: Iterable[tuple[int, Iterable[Sequence]]],
-) -> Fraction:
-    """Bilinear extension of the symmetrised count over formal sums: each
-    argument is a list of (coefficient, point set) pairs."""
-    A = [(ca, list(pa)) for ca, pa in A]
-    B = [(cb, list(pb)) for cb, pb in B]
-    total = Fraction(0)
-    for ca, pa in A:
-        for cb, pb in B:
-            total += ca * cb * count_pairs_J(pa, pb)
-    return total
-
-
 def generator_points(x: Sequence[int]) -> tuple[Point, ...]:
     return tuple((2 * i, 2 * v) for i, v in enumerate(x))
 
@@ -176,10 +161,6 @@ def maslov(G: GridDiagram, x: Sequence[int], S: Sequence[Point] | None = None) -
     if doubled % 2:
         raise ValueError("half-integral Maslov value for this marker set")
     return doubled // 2
-
-
-def maslov_o(G: GridDiagram, x: Sequence[int]) -> int:
-    return maslov(G, x)
 
 
 def maslov_x(G: GridDiagram, x: Sequence[int]) -> int:
@@ -246,20 +227,6 @@ class RectangleInstance:
                 yield (c, r)
 
 
-def rectangles_from(G: GridDiagram, x: Sequence[int]) -> list[tuple[Label, tuple[int, ...]]]:
-    """All n(n-1) rectangle labels out of x with their target generators."""
-    x = tuple(x)
-    out = []
-    for a in range(G.n):
-        for b in range(G.n):
-            if a == b:
-                continue
-            y = list(x)
-            y[a], y[b] = y[b], y[a]
-            out.append(((a, b), tuple(y)))
-    return out
-
-
 def realize_rectangle(G: GridDiagram, x: Sequence[int], label: Label) -> RectangleInstance:
     a, b = label
     x = tuple(x)
@@ -287,24 +254,12 @@ def marker_counts(G: GridDiagram, rect: RectangleInstance) -> tuple[tuple[int, .
     """Per-marker counts of O's and X's inside the rectangle, indexed by
     marker number (see ComponentData.o_numbering); X's are numbered by the
     same column order as the O's."""
-    o_cols, x_cols = marker_counts_by_column(G, rect)
+    cols, rows = set(rect.col_span), set(rect.row_span)
     numbering = G.components.o_numbering
     return (
-        tuple(o_cols[c] for c in numbering),
-        tuple(x_cols[c] for c in numbering),
+        tuple(int(c in cols and G.o_rows[c] in rows) for c in numbering),
+        tuple(int(c in cols and G.x_rows[c] in rows) for c in numbering),
     )
-
-
-def marker_counts_by_column(G: GridDiagram, rect: RectangleInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rows = set(rect.row_span)
-    o = [0] * G.n
-    x = [0] * G.n
-    for c in rect.col_span:
-        if G.o_rows[c] in rows:
-            o[c] = 1
-        if G.x_rows[c] in rows:
-            x[c] = 1
-    return tuple(o), tuple(x)
 
 
 def is_horizontally_torn(label: Label) -> bool:
@@ -316,14 +271,35 @@ def is_horizontally_torn(label: Label) -> bool:
 
 def empty_rectangles(G: GridDiagram, x: Sequence[int]) -> list[tuple[Label, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """The empty rectangles out of x: (label, target, o_counts, x_counts)
-    with counts indexed by column."""
+    with counts indexed by column.
+
+    One cyclic scan per left column a: b runs through a+1, a+2, ... and
+    ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the
+    columns c passed so far.  Offsets of distinct columns differ, so
+    (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
+    below ``lowest``.  A marker of column c in the span [a, b) lies inside
+    exactly when its row offset from x[a] is below h.
+    """
+    n = G.n
     x = tuple(x)
     out = []
-    for label, y in rectangles_from(G, x):
-        rect = realize_rectangle(G, x, label)
-        if is_empty(G, x, rect):
-            o_cols, x_cols = marker_counts_by_column(G, rect)
-            out.append((label, y, o_cols, x_cols))
+    for a in range(n):
+        xa = x[a]
+        lowest = n
+        for width in range(1, n):
+            b = (a + width) % n
+            h = (x[b] - xa) % n
+            if h >= lowest:
+                continue
+            lowest = h
+            y = list(x)
+            y[a], y[b] = x[b], xa
+            o_cols = [0] * n
+            x_cols = [0] * n
+            for c in cyclic_span(a, b, n):
+                o_cols[c] = int((G.o_rows[c] - xa) % n < h)
+                x_cols[c] = int((G.x_rows[c] - xa) % n < h)
+            out.append(((a, b), tuple(y), tuple(o_cols), tuple(x_cols)))
     return out
 
 
@@ -343,6 +319,8 @@ def parse_grid_text(text: str) -> GridDiagram:
         key = parts[0].lower()
         if key not in ("n", "o", "x"):
             raise GridError("Parse", f"line {lineno}: unknown record {parts[0]!r}")
+        if key in fields:
+            raise GridError("Parse", f"line {lineno}: repeated record {parts[0]!r}")
         try:
             fields[key] = [int(p) for p in parts[1:]]
         except ValueError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from . import complexes as _cx
@@ -244,12 +245,9 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Nonzero invariant factors d1 | d2 | ... and the unimodular transforms
-    with U * A * V equal to the padded diagonal."""
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
 
     diagonal: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -275,111 +273,52 @@ def _pivot(D: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithForm:
-    """Diagonalise over Z by unimodular row and column operations.
+    """Invariant factors of A over Z.
 
-    Pivots prefer entries of absolute value one, then minimal absolute
-    value, which keeps intermediate growth tame on boundary matrices.
-    Python integers make the arithmetic exact at any size.
+    Row and column operations diagonalise a dense copy of A.  Pivots
+    prefer entries of absolute value one, then minimal absolute value,
+    which keeps intermediate growth tame on boundary matrices.  Python
+    integers make the arithmetic exact at any size.
     """
     m, n = A.rows, A.cols
     D = A.to_dense()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i: int, k: int, q: int) -> None:  # row_i -= q * row_k
-        if not q:
-            return
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j: int, k: int, q: int) -> None:  # col_j -= q * col_k
-        if not q:
-            return
-        for row in D:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def swap_rows(i: int, k: int) -> None:
-        D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def diagonalize(start: int) -> int:
-        t = start
-        while t < min(m, n):
+    t = 0
+    while t < min(m, n) and (pv := _pivot(D, t, m, n)) is not None:
+        while True:
+            # re-selecting the smallest pivot before every sweep keeps
+            # the gcd cascade at the pivot position and tames growth
+            i, j = pv
+            D[i], D[t] = D[t], D[i]
+            if j != t:
+                for row in D:
+                    row[j], row[t] = row[t], row[j]
+            top = D[t]
+            p = top[t]
+            for i in range(t + 1, m):
+                q = D[i][t] // p
+                if q:
+                    D[i] = [a - q * b for a, b in zip(D[i], top)]
+            # rows above t are zero in column t, so a column operation
+            # only touches the rows that are nonzero there
+            rows = [row for row in D[t:] if row[t]]
+            for j in range(t + 1, n):
+                q = top[j] // p
+                if q:
+                    for row in rows:
+                        row[j] -= q * row[t]
+            if not any(top[t + 1:]) and not any(row[t] for row in D[t + 1:]):
+                break
             pv = _pivot(D, t, m, n)
-            if pv is None:
-                break
-            while True:
-                # re-selecting the smallest pivot before every sweep keeps
-                # the gcd cascade at the pivot position and tames growth
-                i, j = pv
-                if i != t:
-                    swap_rows(i, t)
-                if j != t:
-                    swap_cols(j, t)
-                for i in range(t + 1, m):
-                    if D[i][t]:
-                        row_op(i, t, D[i][t] // D[t][t])
-                for j in range(t + 1, n):
-                    if D[t][j]:
-                        col_op(j, t, D[t][j] // D[t][t])
-                if not any(D[i][t] for i in range(t + 1, m)) and not any(
-                    D[t][j] for j in range(t + 1, n)
-                ):
-                    break
-                pv = _pivot(D, t, m, n)
-            t += 1
-        return t
+        t += 1
 
-    rank = diagonalize(0)
-    # enforce the divisibility chain: fold an offending column into an
-    # earlier one and re-diagonalize from there; each fold replaces the
-    # earlier diagonal entry by a proper divisor, so this terminates
-    while True:
-        offender = None
-        for i in range(rank - 1):
-            for j in range(i + 1, rank):
-                if D[j][j] % D[i][i]:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender is None:
-            break
-        i, j = offender
-        col_op(i, j, -1)  # col_i += col_j
-        diagonalize(i)
-    for i in range(rank):
-        if D[i][i] < 0:
-            for j in range(n):
-                D[i][j] = -D[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-
-    diagonal = tuple(D[i][i] for i in range(rank))
-    assert all(diagonal[i + 1] % diagonal[i] == 0 for i in range(rank - 1))
-    return SmithForm(diagonal, tuple(map(tuple, U)), tuple(map(tuple, V)))
-
-
-def snf_product_check(A: IntegerMatrix, S: SmithForm) -> bool:
-    """U * A * V equals the padded diagonal; used by the test suite."""
-    m, n = A.rows, A.cols
-    dense = A.to_dense()
-    UA = [[sum(S.U[i][k] * dense[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    UAV = [[sum(UA[i][k] * S.V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    for i in range(m):
-        for j in range(n):
-            want = S.diagonal[i] if i == j and i < len(S.diagonal) else 0
-            if UAV[i][j] != want:
-                return False
-    return True
+    # diag(a, b) is equivalent to diag(gcd, lcm); one pass per position
+    # turns the diagonal into a divisibility chain
+    chain = [abs(D[i][i]) for i in range(t) if abs(D[i][i]) > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return SmithForm((1,) * (t - len(chain)) + tuple(chain))
 
 
 # ---------------------------------------------------------------------------

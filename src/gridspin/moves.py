@@ -196,15 +196,12 @@ def _stabilize(G: GridDiagram, axis: str, index: int, marker: str, variant: str)
         main = [(c, r), (c + 1, r + 1)]  # SW + NE
     else:
         main = [(c + 1, r), (c, r + 1)]  # SE + NW
-    # same-column other-type marker moves right exactly when the block
-    # column c is full; same-row marker moves up when block row r is full
-    col_c_full = corner[0] == c or any(p[0] == c for p in main if p[1] in (r, r + 1)) and sum(
-        1 for p in main + [corner] if p[0] == c
-    ) == 2
     new_o: dict[int, int] = {}
     new_x: dict[int, int] = {}
     occupied_cols = [p[0] for p in main + [corner]]
     occupied_rows = [p[1] for p in main + [corner]]
+    # same-column other-type marker moves right exactly when the block
+    # column c is full; same-row marker moves up when block row r is full
     other_col = c if occupied_cols.count(c) < 2 else c + 1
     other_row = r if occupied_rows.count(r) < 2 else r + 1
     for col in range(n):

@@ -135,7 +135,6 @@ def canonical_word(perm: tuple[int, ...]) -> tuple[Label, ...]:
 # Normal-form core
 
 
-@lru_cache(maxsize=None)
 def _right_mul(perm: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], int]:
     """Normal form of s(perm) * t(a, b); returns (perm * (a b), phi).
 

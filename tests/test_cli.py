@@ -34,14 +34,18 @@ def test_validate_shared_cell(grid_file, capsys):
 
 
 def test_validate_parse_error(grid_file, capsys):
-    path = grid_file("b.grid", None, text="nonsense\n")
-    code, _, err = run(capsys, "validate", path)
-    assert code == 2
+    for text in ("nonsense\n", "n 2\nO 1 0\nX 0 1\nO 0 1\n"):
+        path = grid_file("b.grid", None, text=text)
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2 and "Parse" in out
 
 
-def test_missing_file(capsys):
-    code, _, err = run(capsys, "validate", "/nonexistent/zzz.grid")
-    assert code == 2
+def test_missing_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.grid"
+    latin1.write_bytes("# caf\xe9\nn 2\nO 1 0\nX 0 1\n".encode("latin-1"))
+    for path in ("/nonexistent/zzz.grid", str(tmp_path), str(latin1)):
+        code, _, err = run(capsys, "validate", path)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_info_with_generator(grid_file, capsys):

@@ -171,11 +171,6 @@ def test_d_squared_on_random_n5():
     assert not d_squared_offenders(G, Flavor.MOD2_UNSIGNED)
 
 
-def test_mod2_minus_flavor_squares_to_zero():
-    for G in grid.all_grids(3):
-        assert not d_squared_offenders(G, Flavor.MOD2_MINUS)
-
-
 def test_minus_differential_bidegree():
     # every summand drops the Maslov degree by one; Alexander degrees of
     # summands never rise, with equality exactly for X-free rectangles

@@ -62,11 +62,23 @@ def test_count_pairs_examples():
     assert grid.count_pairs_J(O, O) == 0
 
 
+def count_pairs_J_formal(A, B):
+    """Bilinear extension of the symmetrised count over formal sums: each
+    argument is a list of (coefficient, point set) pairs."""
+    A = [(ca, list(pa)) for ca, pa in A]
+    B = [(cb, list(pb)) for cb, pb in B]
+    total = Fraction(0)
+    for ca, pa in A:
+        for cb, pb in B:
+            total += ca * cb * grid.count_pairs_J(pa, pb)
+    return total
+
+
 def test_count_pairs_formal_bilinearity():
     A = [(0, 0), (2, 2)]
     B = [(1, 1)]
     C = [(3, 0)]
-    lhs = grid.count_pairs_J_formal([(1, A), (-2, B)], [(1, C)])
+    lhs = count_pairs_J_formal([(1, A), (-2, B)], [(1, C)])
     rhs = grid.count_pairs_J(A, C) - 2 * grid.count_pairs_J(B, C)
     assert lhs == rhs
 
@@ -102,17 +114,34 @@ def test_alexander_parity_constant_per_component():
             parities = p
 
 
-def test_rectangles_from():
-    G = grid.unknot2()
-    assert grid.rectangles_from(G, (0, 1)) == [((0, 1), (1, 0)), ((1, 0), (1, 0))]
-    for n in (3, 4):
-        G = next(grid.all_grids(n))
-        for x in itertools.permutations(range(n)):
-            rects = grid.rectangles_from(G, x)
-            assert len(rects) == n * (n - 1)
-            for (a, b), y in rects:
-                assert y[a] == x[b] and y[b] == x[a]
-                assert all(y[k] == x[k] for k in range(n) if k not in (a, b))
+def _empty_rectangles_per_label(G, x):
+    """Reference for empty_rectangles: realise all n(n-1) labels, keep the
+    empty ones, and count the markers of each column inside."""
+    out = []
+    for a, b in itertools.permutations(range(G.n), 2):
+        rect = grid.realize_rectangle(G, x, (a, b))
+        if not grid.is_empty(G, x, rect):
+            continue
+        y = list(x)
+        y[a], y[b] = y[b], y[a]
+        rows = set(rect.row_span)
+        o_cols = tuple(int(c in rect.col_span and G.o_rows[c] in rows) for c in range(G.n))
+        x_cols = tuple(int(c in rect.col_span and G.x_rows[c] in rows) for c in range(G.n))
+        out.append(((a, b), tuple(y), o_cols, x_cols))
+    return sorted(out)
+
+
+def test_empty_rectangles_match_per_label_oracle():
+    import random
+
+    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    rng = random.Random(25)
+    grids += [grid.random_grid(5, rng) for _ in range(10)]
+    grids += [grid.random_grid(6, rng) for _ in range(2)]
+    grids.append(grid.random_grid(7, rng))
+    for G in grids:
+        for x in itertools.permutations(range(G.n)):
+            assert sorted(grid.empty_rectangles(G, x)) == _empty_rectangles_per_label(G, x)
 
 
 def test_realize_rectangle_spans():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_mod2
+import oracle_snf
 from gridspin import grid
 from gridspin.grid import GridDiagram
 from gridspin.homology import (
@@ -18,17 +19,25 @@ from gridspin.homology import (
     hat_reduction,
     render_polynomial,
     smith_normal_form,
-    snf_product_check,
 )
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
+def _certified_diagonal(A):
+    """The oracle's invariant factors, certified by U * A * V = D; the
+    production routine must report the same ones."""
+    S = oracle_snf.smith_normal_form(A)
+    assert oracle_snf.snf_product_check(A, S)
+    assert smith_normal_form(A).diagonal == S.diagonal
+    return S.diagonal
+
+
 def test_snf_examples():
-    assert smith_normal_form(IntegerMatrix.from_dense([[0, 0], [0, 0]])).diagonal == ()
-    assert smith_normal_form(IntegerMatrix.from_dense([[1, 2], [3, 4]])).diagonal == (1, 2)
-    assert smith_normal_form(IntegerMatrix.from_dense([[2, 0], [0, 3]])).diagonal == (1, 6)
+    assert _certified_diagonal(IntegerMatrix.from_dense([[0, 0], [0, 0]])) == ()
+    assert _certified_diagonal(IntegerMatrix.from_dense([[1, 2], [3, 4]])) == (1, 2)
+    assert _certified_diagonal(IntegerMatrix.from_dense([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_merges_duplicate_entries():
@@ -47,11 +56,9 @@ def test_snf_merges_duplicate_entries():
     )
 )
 def test_snf_properties(dense):
-    A = IntegerMatrix.from_dense(dense)
-    S = smith_normal_form(A)
-    assert snf_product_check(A, S)
-    assert all(d > 0 for d in S.diagonal)
-    assert all(S.diagonal[i + 1] % S.diagonal[i] == 0 for i in range(len(S.diagonal) - 1))
+    diagonal = _certified_diagonal(IntegerMatrix.from_dense(dense))
+    assert all(d > 0 for d in diagonal)
+    assert all(diagonal[i + 1] % diagonal[i] == 0 for i in range(len(diagonal) - 1))
 
 
 def _det(mat):
@@ -80,16 +87,16 @@ def test_snf_transforms_unimodular():
     for _ in range(15):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         A = IntegerMatrix.from_dense([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-        S = smith_normal_form(A)
+        S = oracle_snf.smith_normal_form(A)
         assert abs(_det([list(r) for r in S.U])) == 1
         assert abs(_det([list(r) for r in S.V])) == 1
+        assert smith_normal_form(A).diagonal == S.diagonal
 
 
 def test_snf_dense_60():
     rng = random.Random(60)
     A = IntegerMatrix.from_dense([[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)])
-    S = smith_normal_form(A)
-    assert snf_product_check(A, S)
+    _certified_diagonal(A)
 
 
 def test_snf_sparse_200():
@@ -99,8 +106,26 @@ def test_snf_sparse_200():
     for _ in range(1200):
         seen[(rng.randrange(200), rng.randrange(200))] = rng.choice((-1, 1))
     A = IntegerMatrix.from_entries(200, 200, [(r, c, v) for (r, c), v in seen.items()])
-    S = smith_normal_form(A)
-    assert snf_product_check(A, S)
+    _certified_diagonal(A)
+
+
+def test_snf_boundary_blocks():
+    # every boundary block of the marker-free differential: +-1 entries,
+    # the shape the homology path reduces
+    from gridspin import complexes as _cx
+
+    for G in (grid.trefoil5(), grid.random_grid(6, random.Random(66))):
+        by_grading = {}
+        for x in itertools.permutations(range(G.n)):
+            by_grading.setdefault((grid.maslov(G, x), grid.alexander2(G, x)), []).append(x)
+        for (maslov, alexander), members in by_grading.items():
+            below = {y: i for i, y in enumerate(by_grading.get((maslov - 1, alexander), []))}
+            entries = [
+                (below[y], col, sign)
+                for col, x in enumerate(members)
+                for y, sign, _ in _cx.differential_terms(G, x, _cx.Flavor.TILDE_GRADED)
+            ]
+            _certified_diagonal(IntegerMatrix.from_entries(len(below), len(members), entries))
 
 
 # ---------------------------------------------------------------------------
