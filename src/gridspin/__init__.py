@@ -22,15 +22,10 @@ from .grid import (
     GridDiagram,
     GridError,
     alexander2,
-    count_pairs_I,
-    count_pairs_J,
     empty_rectangles,
-    is_empty,
     is_horizontally_torn,
-    marker_counts,
     maslov,
     parse_grid_text,
-    realize_rectangle,
     trace_components,
     validate,
 )

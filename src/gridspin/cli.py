@@ -22,10 +22,22 @@ from . import spin as _spin
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
+# homology, alexander, invariance and check enumerate all n! generators
+MAX_N = 7
+
 
 def _load_grid(path: str) -> _grid.GridDiagram:
     text = Path(path).read_text(encoding="utf-8")
     return _grid.parse_grid_text(text)
+
+
+def _load_bounded(path: str) -> _grid.GridDiagram:
+    G = _load_grid(path)
+    if G.n > MAX_N:
+        raise _grid.GridError(
+            "TooLarge", f"grid size {G.n} exceeds the bound n <= {MAX_N} (all n! generators are enumerated)"
+        )
+    return G
 
 
 def _print_summary(summary: _hom.HomologySummary, as_json: bool) -> None:
@@ -122,7 +134,7 @@ def _check_spin_relations(n: int, rng: random.Random) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    G = _load_grid(args.grid)
+    G = _load_bounded(args.grid)
     rng = random.Random(args.seed)
     suites = []
     if args.d2:
@@ -168,7 +180,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    G = _load_grid(args.grid)
+    G = _load_bounded(args.grid)
     summary = _hom.bigraded_homology(G)
     if args.flavor == "hat":
         summary = _hom.hat_reduction(summary, G.components)
@@ -177,7 +189,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    G = _load_grid(args.grid)
+    G = _load_bounded(args.grid)
     print(_hom.render_polynomial(_hom.alexander_polynomial(G)))
     return OK
 
@@ -193,8 +205,8 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    G1 = _load_grid(args.grid1)
-    G2 = _load_grid(args.grid2)
+    G1 = _load_bounded(args.grid1)
+    G2 = _load_bounded(args.grid2)
     report = _moves.invariance_report(G1, G2)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
@@ -211,13 +223,22 @@ def _cmd_invariance(args) -> int:
     return OK if report.ok else FAIL
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridspin",
         description="Integer link Floer chain complexes from grid diagrams",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--threads", type=int, default=1, help="worker bound (accepted for interface stability)")
+    parser.add_argument(
+        "--threads", type=positive_int, default=1, help="worker bound (accepted for interface stability)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a grid file")

@@ -16,7 +16,6 @@ Four differentials share one rectangle enumeration:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -159,10 +158,15 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label, variant: s
     eps(r) is -1 exactly for horizontally torn rectangles.
     """
     x = tuple(x)
-    rect = _grid.realize_rectangle(G, x, label)
-    if not _grid.is_empty(G, x, rect):
-        raise ValueError(f"rectangle {label} out of {x} is not empty")
+    n = G.n
     a, b = label
+    if not (0 <= a < n and 0 <= b < n and a != b):
+        raise ValueError(f"invalid label {label}")
+    # empty iff every column strictly inside (a, b) has its point above the
+    # height, by row offset from x[a] (the rule of empty_rectangles)
+    h = (x[b] - x[a]) % n
+    if any((x[c] - x[a]) % n < h for c in _grid.cyclic_span(a, b, n)[1:]):
+        raise ValueError(f"rectangle {label} out of {x} is not empty")
     # x^-1 y is the plain transposition (a b)
     t_perm = list(range(G.n))
     t_perm[a], t_perm[b] = t_perm[b], t_perm[a]
@@ -207,11 +211,11 @@ def d_squared_offenders(G: GridDiagram, flavor: Flavor = Flavor.MINUS) -> list[t
     mod2 = flavor is Flavor.MOD2_UNSIGNED
     bad = []
     for x, terms in d.items():
-        acc: Counter = Counter()
+        acc: dict[tuple, int] = {}
         for y, s1, m1 in terms:
             for w, s2, m2 in d[y]:
-                mono = tuple(u + v for u, v in zip(m1, m2))
-                acc[(w, mono)] += s1 * s2
+                key = (w, tuple(u + v for u, v in zip(m1, m2)))
+                acc[key] = acc.get(key, 0) + s1 * s2
         for key, c in acc.items():
             if (c % 2) if mod2 else c:
                 bad.append((x, key, c))
@@ -239,22 +243,26 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
     are grouped by (start, end, support multiset); each group must consist
     of exactly two decompositions with opposite sign products.
     """
-    signs: dict[tuple[tuple[int, ...], Label], int] = {}
-    empties: dict[tuple[int, ...], list[tuple[Label, tuple[int, ...]]]] = {}
-    for x in itertools.permutations(range(G.n)):
-        rects = _grid.empty_rectangles(G, x)
-        empties[x] = [(label, y) for label, y, _, _ in rects]
-        for label, y, _, _ in rects:
-            signs[(x, label)] = sign_assignment(G, x, label, variant)
+    n = G.n
+    # per generator: (label, target, sign, cells) with cell (c, r) at bit c*n + r
+    empties: dict[tuple[int, ...], list[tuple[Label, tuple[int, ...], int, int]]] = {}
+    for x in itertools.permutations(range(n)):
+        rects = []
+        for label, y, _, _ in _grid.empty_rectangles(G, x):
+            a, b = label
+            h = (x[b] - x[a]) % n
+            rows = ((1 << h) - 1) << x[a]
+            rows = (rows | rows >> n) & ((1 << n) - 1)
+            cells = sum(rows << (c * n) for c in _grid.cyclic_span(a, b, n))
+            rects.append((label, y, sign_assignment(G, x, label, variant), cells))
+        empties[x] = rects
 
     violations: list[tuple] = []
     domains: dict[tuple, list[tuple]] = {}
     n_v = n_h = 0
     for x, rects in empties.items():
-        for l1, y in rects:
-            s1 = signs[(x, l1)]
-            for l2, w in empties[y]:
-                s2 = signs[(y, l2)]
+        for l1, y, s1, m1 in rects:
+            for l2, w, s2, m2 in empties[y]:
                 if w == x:
                     if l2 == l1:
                         n_v += 1
@@ -267,9 +275,9 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
                     else:
                         violations.append(("loop", x, l1, l2))
                     continue
-                support = Counter(_grid.realize_rectangle(G, x, l1).cells())
-                support.update(_grid.realize_rectangle(G, y, l2).cells())
-                key = (x, w, tuple(sorted(support.items())))
+                # each rectangle covers a cell at most once, so union and
+                # intersection fix the multiset of cells of the domain
+                key = (x, w, m1 | m2, m1 & m2)
                 domains.setdefault(key, []).append((l1, l2, s1 * s2))
     n_sq = 0
     for key, decomps in domains.items():

@@ -4,17 +4,16 @@ A grid of size n is a pair of permutations giving the row of the O and X
 marker in each column; the origin sits at the bottom-left and the
 fundamental domain is [0, n) x [0, n) on the torus.  Generators are
 permutations drawn as lattice points (i, x(i)); markers sit at cell
-centres, which we keep exact by doubling all coordinates (lattice points
-at even pairs, markers at odd pairs).
+centres, so every comparison between a point and a marker is a strict
+inequality that integer row and column indices decide exactly.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .spin import Label, is_permutation
 
@@ -63,12 +62,8 @@ class GridDiagram:
         return trace_components(self)
 
     @cached_property
-    def _o_pts(self) -> tuple[Point, ...]:
-        return tuple((2 * c + 1, 2 * r + 1) for c, r in enumerate(self.o_rows))
-
-    @cached_property
-    def _x_pts(self) -> tuple[Point, ...]:
-        return tuple((2 * c + 1, 2 * r + 1) for c, r in enumerate(self.x_rows))
+    def grading_constants(self) -> tuple[int, tuple[int, ...]]:
+        return _grading_constants(self)
 
 
 def validate(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> None:
@@ -125,47 +120,65 @@ def trace_components(G: GridDiagram) -> ComponentData:
 
 
 # ---------------------------------------------------------------------------
-# Planar pair counts
+# Gradings
+#
+# Generator points are the lattice points (i, x[i]); the marker of column c
+# in row r sits at the cell centre (c + 1/2, r + 1/2).  With I(A, B) the
+# number of pairs a in A, b in B with a strictly south-west of b and
+# J2(A, B) = I(A, B) + I(B, A) (twice the symmetrised count J),
+#
+#   M(x)     = I(x, x) - J2(x, O) + I(O, O) + 1,
+#   2 A_j(x) = J2(x, X_j) - J2(x, O_j) - J2(X + O, X_j - O_j) / 2 - (n_j - 1).
+#
+# The marker-only terms are computed once per grid (grading_constants).
 
 
-def count_pairs_I(A: Iterable[Sequence], B: Iterable[Sequence]) -> int:
-    """Number of pairs a in A, b in B with both coordinates of a strictly
-    below those of b."""
-    B = list(B)
-    return sum(1 for a in A for b in B if a[0] < b[0] and a[1] < b[1])
+def _marker_pairs(x: Sequence[int], rows: Sequence[int]) -> list[int]:
+    """J2(x, {m}) for the marker m of each column c, in row rows[c].
 
-
-def count_pairs_J(A: Iterable[Sequence], B: Iterable[Sequence]) -> Fraction:
-    """Symmetrised count (I(A,B) + I(B,A)) / 2."""
-    A, B = list(A), list(B)
-    return Fraction(count_pairs_I(A, B) + count_pairs_I(B, A), 2)
-
-
-def generator_points(x: Sequence[int]) -> tuple[Point, ...]:
-    return tuple((2 * i, 2 * v) for i, v in enumerate(x))
-
-
-def _J2(A: Sequence[Point], B: Sequence[Point]) -> int:
-    return count_pairs_I(A, B) + count_pairs_I(B, A)
-
-
-def maslov(G: GridDiagram, x: Sequence[int], S: Sequence[Point] | None = None) -> int:
-    """Maslov degree J(x - S, x - S) + 1 with S defaulting to the O markers.
-
-    Generic marker sets can give half-integers; the O markers always give
-    an integer, which is asserted.
+    A point (i, v) lies SW of m iff i <= c and v <= r, and m lies SW of it
+    iff c < i and r < v: the pair counts exactly when the point is on the
+    same side of m in both coordinates.
     """
-    pts = generator_points(x)
-    S = tuple(S) if S is not None else G._o_pts
-    doubled = _J2(pts, pts) - 2 * _J2(pts, S) + _J2(S, S) + 2
-    if doubled % 2:
-        raise ValueError("half-integral Maslov value for this marker set")
-    return doubled // 2
+    out = []
+    for c, r in enumerate(rows):
+        k = 0
+        for i, v in enumerate(x):
+            if (i <= c) == (v <= r):
+                k += 1
+        out.append(k)
+    return out
 
 
-def maslov_x(G: GridDiagram, x: Sequence[int]) -> int:
-    """Maslov degree computed with the X markers in place of the O's."""
-    return maslov(G, x, G._x_pts)
+def _markers_j2(A: Sequence[Point], B: Sequence[Point]) -> int:
+    """J2(A, B) for lists of marker cells (c, r): pairs with one cell
+    strictly SW of the other, counted in both directions."""
+    return sum(1 for c, r in A for d, s in B if (c < d and r < s) or (d < c and s < r))
+
+
+def _grading_constants(G: GridDiagram) -> tuple[int, tuple[int, ...]]:
+    """The marker-only terms: I(O, O) + 1 for the Maslov degree and, per
+    component j, -J2(X + O, X_j - O_j) / 2 - (n_j - 1) for the doubled
+    Alexander grading."""
+    comps = G.components
+    O = list(enumerate(G.o_rows))
+    X = list(enumerate(G.x_rows))
+    alex = []
+    for j in range(1, comps.l + 1):
+        Oj = [m for m in O if comps.comp_of_o[m[0]] == j]
+        Xj = [m for m in X if comps.comp_of_x[m[0]] == j]
+        j2 = _markers_j2(X + O, Xj) - _markers_j2(X + O, Oj)
+        if j2 % 2:
+            raise AssertionError("Alexander grading is not a half-integer")
+        alex.append(-j2 // 2 - (comps.n_i[j - 1] - 1))
+    return _markers_j2(O, O) // 2 + 1, tuple(alex)
+
+
+def maslov(G: GridDiagram, x: Sequence[int]) -> int:
+    """Maslov degree I(x, x) - J2(x, O) + I(O, O) + 1."""
+    n = G.n
+    inside = sum(1 for i in range(n) for k in range(i + 1, n) if x[i] < x[k])
+    return inside - sum(_marker_pairs(x, G.o_rows)) + G.grading_constants[0]
 
 
 def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
@@ -175,17 +188,11 @@ def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
     2*A_j to stay in exact integers.
     """
     comps = G.components
-    pts = generator_points(x)
-    out = []
-    for j in range(1, comps.l + 1):
-        xj = tuple(G._x_pts[c] for c in range(G.n) if comps.comp_of_x[c] == j)
-        oj = tuple(G._o_pts[c] for c in range(G.n) if comps.comp_of_o[c] == j)
-        quad = 2 * (_J2(pts, xj) - _J2(pts, oj))
-        quad -= _J2(G._x_pts, xj) - _J2(G._x_pts, oj) + _J2(G._o_pts, xj) - _J2(G._o_pts, oj)
-        quad -= 2 * (comps.n_i[j - 1] - 1)
-        if quad % 2:
-            raise AssertionError("Alexander grading is not a half-integer")
-        out.append(quad // 2)
+    out = list(G.grading_constants[1])
+    for c, k in enumerate(_marker_pairs(x, G.x_rows)):
+        out[comps.comp_of_x[c] - 1] += k
+    for c, k in enumerate(_marker_pairs(x, G.o_rows)):
+        out[comps.comp_of_o[c] - 1] -= k
     return tuple(out)
 
 
@@ -196,70 +203,6 @@ def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
 def cyclic_span(a: int, b: int, n: int) -> tuple[int, ...]:
     """The half-open cyclic interval [a, b) in Z/n."""
     return tuple((a + k) % n for k in range((b - a) % n))
-
-
-@dataclass(frozen=True)
-class RectangleInstance:
-    """One of the two rectangles between x and x * (a b), realised on the
-    torus: its bottom-left corner is the generator point in column a."""
-
-    base: tuple[int, ...]
-    label: Label
-    col_span: tuple[int, ...]
-    row_span: tuple[int, ...]
-
-    @property
-    def corners_base(self) -> tuple[Point, Point]:
-        a, b = self.label
-        return ((a, self.base[a]), (b, self.base[b]))
-
-    @property
-    def width(self) -> int:
-        return len(self.col_span)
-
-    @property
-    def height(self) -> int:
-        return len(self.row_span)
-
-    def cells(self) -> Iterator[Point]:
-        for c in self.col_span:
-            for r in self.row_span:
-                yield (c, r)
-
-
-def realize_rectangle(G: GridDiagram, x: Sequence[int], label: Label) -> RectangleInstance:
-    a, b = label
-    x = tuple(x)
-    if not (0 <= a < G.n and 0 <= b < G.n and a != b):
-        raise ValueError(f"invalid label {label}")
-    return RectangleInstance(
-        base=x,
-        label=label,
-        col_span=cyclic_span(a, b, G.n),
-        row_span=cyclic_span(x[a], x[b], G.n),
-    )
-
-
-def is_empty(G: GridDiagram, x: Sequence[int], rect: RectangleInstance) -> bool:
-    """No generator point of x strictly inside both spans."""
-    a, b = rect.label
-    interior_rows = set(rect.row_span[1:])
-    for c in rect.col_span[1:]:
-        if x[c] in interior_rows:
-            return False
-    return True
-
-
-def marker_counts(G: GridDiagram, rect: RectangleInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-marker counts of O's and X's inside the rectangle, indexed by
-    marker number (see ComponentData.o_numbering); X's are numbered by the
-    same column order as the O's."""
-    cols, rows = set(rect.col_span), set(rect.row_span)
-    numbering = G.components.o_numbering
-    return (
-        tuple(int(c in cols and G.o_rows[c] in rows) for c in numbering),
-        tuple(int(c in cols and G.x_rows[c] in rows) for c in numbering),
-    )
 
 
 def is_horizontally_torn(label: Label) -> bool:

@@ -137,3 +137,25 @@ def test_bad_move_script(grid_file, capsys, tmp_path):
     script.write_text("commute cols 0\n")  # interleaved on the 2x2 unknot
     code, _, err = run(capsys, "move", path, "--script", str(script), "-o", str(tmp_path / "x.grid"))
     assert code == 2 and "IllegalCommutation" in err
+
+
+def test_size_bound(grid_file, capsys):
+    # one step past the bound: an 8x8 unknot, refused before any work
+    path = grid_file("big.grid", grid.GridDiagram(8, tuple(range(1, 8)) + (0,), tuple(range(8))))
+    for argv in (("homology", path), ("alexander", path), ("invariance", path, path), ("check", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: TooLarge: ") and "n <= 7" in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "info", path)
+    assert code == 0 and "n 8" in out
+
+
+def test_threads_positive(grid_file, capsys):
+    path = grid_file("u.grid", grid.unknot2())
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads", value, "validate", path])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    code, out, _ = run(capsys, "--threads", "2", "validate", path)
+    assert code == 0 and out.strip() == "ok"

@@ -48,6 +48,9 @@ def test_unknot_sign_values():
     assert sign_assignment(G, (1, 0), (1, 0)) == 1
     with pytest.raises(ValueError):
         sign_assignment(GridDiagram(3, (1, 2, 0), (0, 1, 2)), (0, 1, 2), (0, 2))
+    for label in ((0, 0), (1, 1), (0, 2), (-1, 0), (2, 1)):
+        with pytest.raises(ValueError):
+            sign_assignment(G, (0, 1), label)
 
 
 def test_unknot_graded_differential_vanishes():
@@ -107,6 +110,24 @@ def test_sign_axioms_all_n3(variant):
     for G in grid.all_grids(3):
         report = check_sign_axioms(G, variant)
         assert report.ok, (G, report.violations[:3])
+
+
+@pytest.mark.parametrize(
+    "G,counts,swapped",
+    [(grid.hopf4(), (488, 96, 96), 232), (grid.trefoil5(), (5400, 600, 600), 2233)],
+    ids=["hopf4", "trefoil5"],
+)
+def test_sign_axiom_counts_pinned(G, counts, swapped):
+    # (square, vertical, horizontal) counts and the swapped variant's
+    # violations, as recorded with the per-cell support bookkeeping
+    for variant in ("right", "reversed"):
+        report = check_sign_axioms(G, variant)
+        assert report.ok
+        assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
+    report = check_sign_axioms(G, "swapped")
+    assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
+    assert len(report.violations) == swapped
+    assert {kind for kind, *_ in report.violations} == {"H", "Sq", "V"}
 
 
 def test_swapped_variant_fails_annulus_axioms():

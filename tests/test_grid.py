@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_mod2
+import oracle_rectangles as rects
 from gridspin import grid
 from gridspin.grid import GridDiagram, GridError
 
@@ -52,14 +54,14 @@ def test_components_partition_rows():
 
 
 def test_count_pairs_examples():
-    assert grid.count_pairs_I([], [(0.5, 1.5)]) == 0
-    assert grid.count_pairs_I([(0, 0), (1, 1)], [(0.5, 1.5), (1.5, 0.5)]) == 2
-    assert grid.count_pairs_I([(0, 0), (1, 1)], [(0, 0), (1, 1)]) == 1
+    assert oracle_mod2._pairs_below([], [(0.5, 1.5)]) == 0
+    assert oracle_mod2._pairs_below([(0, 0), (1, 1)], [(0.5, 1.5), (1.5, 0.5)]) == 2
+    assert oracle_mod2._pairs_below([(0, 0), (1, 1)], [(0, 0), (1, 1)]) == 1
     A = [(0, 0), (1, 1)]
-    assert grid.count_pairs_J(A, A) == grid.count_pairs_I(A, A)
+    assert oracle_mod2._J(A, A) == oracle_mod2._pairs_below(A, A)
     O = [(0.5, 1.5), (1.5, 0.5)]
-    assert grid.count_pairs_J(A, O) == Fraction(1)
-    assert grid.count_pairs_J(O, O) == 0
+    assert oracle_mod2._J(A, O) == Fraction(1)
+    assert oracle_mod2._J(O, O) == 0
 
 
 def count_pairs_J_formal(A, B):
@@ -70,7 +72,7 @@ def count_pairs_J_formal(A, B):
     total = Fraction(0)
     for ca, pa in A:
         for cb, pb in B:
-            total += ca * cb * grid.count_pairs_J(pa, pb)
+            total += ca * cb * oracle_mod2._J(pa, pb)
     return total
 
 
@@ -79,7 +81,7 @@ def test_count_pairs_formal_bilinearity():
     B = [(1, 1)]
     C = [(3, 0)]
     lhs = count_pairs_J_formal([(1, A), (-2, B)], [(1, C)])
-    rhs = grid.count_pairs_J(A, C) - 2 * grid.count_pairs_J(B, C)
+    rhs = oracle_mod2._J(A, C) - 2 * oracle_mod2._J(B, C)
     assert lhs == rhs
 
 
@@ -89,16 +91,25 @@ def test_maslov_unknot():
     assert grid.maslov(G, (1, 0)) == -1
 
 
-def test_maslov_with_x_markers():
-    # computing against the X markers is the same formula, different set
-    G = grid.unknot2()
-    assert grid.maslov_x(G, (0, 1)) == grid.maslov(G, (0, 1), G._x_pts)
-
-
 def test_alexander_unknot():
     G = grid.unknot2()
     assert grid.alexander2(G, (0, 1)) == (0,)
     assert grid.alexander2(G, (1, 0)) == (-2,)
+
+
+def test_gradings_match_oracle():
+    # the integer closed form against the rational J-formula recomputed
+    # from first principles, on every generator
+    import random
+
+    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    rng = random.Random(35)
+    grids += [grid.random_grid(5, rng) for _ in range(20)]
+    grids += [grid.random_grid(6, rng) for _ in range(3)]
+    for G in grids:
+        for x in itertools.permutations(range(G.n)):
+            got = (grid.maslov(G, x), grid.alexander2(G, x))
+            assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
 
 
 def test_alexander_parity_constant_per_component():
@@ -119,8 +130,8 @@ def _empty_rectangles_per_label(G, x):
     empty ones, and count the markers of each column inside."""
     out = []
     for a, b in itertools.permutations(range(G.n), 2):
-        rect = grid.realize_rectangle(G, x, (a, b))
-        if not grid.is_empty(G, x, rect):
+        rect = rects.realize_rectangle(G, x, (a, b))
+        if not rects.is_empty(G, x, rect):
             continue
         y = list(x)
         y[a], y[b] = y[b], y[a]
@@ -146,12 +157,12 @@ def test_empty_rectangles_match_per_label_oracle():
 
 def test_realize_rectangle_spans():
     G = grid.unknot2()
-    r = grid.realize_rectangle(G, (0, 1), (0, 1))
+    r = rects.realize_rectangle(G, (0, 1), (0, 1))
     assert r.col_span == (0,) and r.row_span == (0,)
-    r = grid.realize_rectangle(G, (0, 1), (1, 0))
+    r = rects.realize_rectangle(G, (0, 1), (1, 0))
     assert r.col_span == (1,) and r.row_span == (1,)
     G3 = GridDiagram(3, (1, 2, 0), (0, 1, 2))
-    r = grid.realize_rectangle(G3, (0, 1, 2), (0, 2))
+    r = rects.realize_rectangle(G3, (0, 1, 2), (0, 2))
     assert r.col_span == (0, 1) and r.row_span == (0, 1)
     assert r.corners_base == ((0, 0), (2, 2))
 
@@ -163,8 +174,8 @@ def test_complementary_rectangles():
             for b in range(3):
                 if a == b:
                     continue
-                r1 = grid.realize_rectangle(G3, x, (a, b))
-                r2 = grid.realize_rectangle(G3, x, (b, a))
+                r1 = rects.realize_rectangle(G3, x, (a, b))
+                r2 = rects.realize_rectangle(G3, x, (b, a))
                 assert r1.width + r2.width == 3
                 assert r1.height + r2.height == 3
                 assert set(r1.cells()).isdisjoint(r2.cells())
@@ -173,28 +184,28 @@ def test_complementary_rectangles():
 def test_is_empty():
     G = grid.unknot2()
     for label in ((0, 1), (1, 0)):
-        assert grid.is_empty(G, (0, 1), grid.realize_rectangle(G, (0, 1), label))
+        assert rects.is_empty(G, (0, 1), rects.realize_rectangle(G, (0, 1), label))
     G3 = GridDiagram(3, (1, 2, 0), (0, 1, 2))
-    r = grid.realize_rectangle(G3, (0, 1, 2), (0, 2))
-    assert not grid.is_empty(G3, (0, 1, 2), r)
+    r = rects.realize_rectangle(G3, (0, 1, 2), (0, 2))
+    assert not rects.is_empty(G3, (0, 1, 2), r)
 
 
 def test_marker_counts():
     G = grid.unknot2()
-    oc, xc = grid.marker_counts(G, grid.realize_rectangle(G, (0, 1), (0, 1)))
+    oc, xc = rects.marker_counts(G, rects.realize_rectangle(G, (0, 1), (0, 1)))
     assert sum(oc) == 0 and sum(xc) == 1
-    oc, xc = grid.marker_counts(G, grid.realize_rectangle(G, (1, 0), (0, 1)))
+    oc, xc = rects.marker_counts(G, rects.realize_rectangle(G, (1, 0), (0, 1)))
     assert sum(oc) == 1 and sum(xc) == 0
     # a full annulus of height one holds exactly one O and one X: compose
     # the two complementary rectangles of a pair
     G3 = GridDiagram(3, (1, 2, 0), (0, 1, 2))
     x = (0, 1, 2)
-    r1 = grid.realize_rectangle(G3, x, (0, 1))
+    r1 = rects.realize_rectangle(G3, x, (0, 1))
     y = (1, 0, 2)
-    r2 = grid.realize_rectangle(G3, y, (1, 0))
+    r2 = rects.realize_rectangle(G3, y, (1, 0))
     if r1.height == r2.height:  # same row band: horizontal annulus
-        o1, x1 = grid.marker_counts(G3, r1)
-        o2, x2 = grid.marker_counts(G3, r2)
+        o1, x1 = rects.marker_counts(G3, r1)
+        o2, x2 = rects.marker_counts(G3, r2)
         assert sum(o1) + sum(o2) == r1.height and sum(x1) + sum(x2) == r1.height
 
 
