@@ -8,7 +8,6 @@ and the central element is identified with -1.
 from .clifford import clifford_oracle_bit
 from .complexes import (
     ChainElement,
-    Flavor,
     check_coboundary_equivalence,
     check_sign_axioms,
     differential_minus,

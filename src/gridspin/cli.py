@@ -150,7 +150,7 @@ def _cmd_check(args) -> int:
     failed = False
     for suite in suites:
         if suite == "d2":
-            bad = _cx.d_squared_offenders(G, _cx.Flavor.MINUS)
+            bad = _cx.d_squared_offenders(G)
             ok = not bad
             detail = "" if ok else f" ({len(bad)} offending compositions, first {bad[0]})"
         elif suite == "signs":

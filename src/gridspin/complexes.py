@@ -6,18 +6,18 @@ therefore live on plain permutations.  A ``ChainElement`` maps generators
 to sparse polynomials; a monomial is the tuple of U-exponents indexed by
 column (the variable of column c belongs to the O marker there).
 
-Four differentials share one rectangle enumeration:
+Each differential reads the one rectangle scan ``grid.empty_rectangles``
+itself:
 
 * minus        - every empty rectangle, signs from the group law;
 * signed       - every empty rectangle, signs from the cocycle formula;
-* tilde-graded - only rectangles free of all markers;
+* graded       - only rectangles free of all markers, group-law signs;
 * mod2         - every empty rectangle, unsigned, coefficients mod 2.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterator
 
 from . import grid as _grid
@@ -26,12 +26,6 @@ from .spin import Label, SpinElement, _right_mul, cocycle, inverse_perm
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
-
-
-class Flavor(Enum):
-    MINUS = "minus"
-    TILDE_GRADED = "tilde-graded"
-    MOD2_UNSIGNED = "mod2-unsigned"
 
 
 @dataclass
@@ -84,37 +78,13 @@ class ChainElement:
 # Differentials
 
 
-def _unit(n: int) -> Monomial:
-    return (0,) * n
-
-
-def differential_terms(
-    G: GridDiagram, x: tuple[int, ...], flavor: Flavor = Flavor.MINUS
-) -> list[tuple[tuple[int, ...], int, Monomial]]:
-    """Raw summands (target, sign, monomial) of the chosen differential on
-    the section of x.  Signs come from the group law; the mod2 flavor
-    reports sign +1."""
-    out = []
-    for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
-        if flavor is Flavor.TILDE_GRADED and (any(ocols) or any(xcols)):
-            continue
-        if flavor is Flavor.MOD2_UNSIGNED:
-            sign = 1
-        else:
-            _, phi = _right_mul(x, *label)
-            sign = -1 if phi else 1
-        mono = _unit(G.n) if flavor is Flavor.TILDE_GRADED else ocols
-        out.append((y, sign, mono))
-    return out
-
-
 def differential_minus(G: GridDiagram, g: SpinElement) -> ChainElement:
     """Sum of U^(O-counts) * (g * lift(rectangle)) over empty rectangles,
     with the central element already identified with -1."""
     out = ChainElement(G.n)
     outer = -1 if g.bit else 1
-    for y, sign, mono in differential_terms(G, g.perm, Flavor.MINUS):
-        out.add(y, mono, outer * sign)
+    for label, y, ocols, _ in _grid.empty_rectangles(G, g.perm):
+        out.add(y, ocols, -outer if _right_mul(g.perm, *label)[1] else outer)
     return out
 
 
@@ -123,16 +93,18 @@ def graded_differential(G: GridDiagram, g: SpinElement) -> ChainElement:
     the Alexander grading and drops the Maslov degree by one."""
     out = ChainElement(G.n)
     outer = -1 if g.bit else 1
-    for y, sign, mono in differential_terms(G, g.perm, Flavor.TILDE_GRADED):
-        out.add(y, mono, outer * sign)
+    unit = (0,) * G.n
+    for label, y, ocols, xcols in _grid.empty_rectangles(G, g.perm):
+        if not (any(ocols) or any(xcols)):
+            out.add(y, unit, -outer if _right_mul(g.perm, *label)[1] else outer)
     return out
 
 
 def unsigned_differential_mod2(G: GridDiagram, x: tuple[int, ...]) -> ChainElement:
     """Every empty rectangle with coefficient one over Z/2."""
     out = ChainElement(G.n)
-    for y, _, mono in differential_terms(G, x, Flavor.MOD2_UNSIGNED):
-        out.add(y, mono, 1)
+    for _, y, ocols, _ in _grid.empty_rectangles(G, x):
+        out.add(y, ocols, 1)
     return out.reduced_mod2()
 
 
@@ -194,21 +166,16 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
 # Whole-complex checks
 
 
-def differential_map(
-    G: GridDiagram, flavor: Flavor = Flavor.MINUS
-) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], int, Monomial]]]:
-    """The chosen differential on every generator at once."""
-    return {
-        x: differential_terms(G, x, flavor)
+def d_squared_offenders(G: GridDiagram) -> list[tuple]:
+    """Generators where the minus differential fails to square to zero
+    over Z; empty on every valid grid."""
+    d = {
+        x: [
+            (y, -1 if _right_mul(x, *label)[1] else 1, ocols)
+            for label, y, ocols, _ in _grid.empty_rectangles(G, x)
+        ]
         for x in itertools.permutations(range(G.n))
     }
-
-
-def d_squared_offenders(G: GridDiagram, flavor: Flavor = Flavor.MINUS) -> list[tuple]:
-    """Generators where the differential fails to square to zero; empty on
-    every valid grid."""
-    d = differential_map(G, flavor)
-    mod2 = flavor is Flavor.MOD2_UNSIGNED
     bad = []
     for x, terms in d.items():
         acc: dict[tuple, int] = {}
@@ -216,9 +183,7 @@ def d_squared_offenders(G: GridDiagram, flavor: Flavor = Flavor.MINUS) -> list[t
             for w, s2, m2 in d[y]:
                 key = (w, tuple(u + v for u, v in zip(m1, m2)))
                 acc[key] = acc.get(key, 0) + s1 * s2
-        for key, c in acc.items():
-            if (c % 2) if mod2 else c:
-                bad.append((x, key, c))
+        bad.extend((x, key, c) for key, c in acc.items() if c)
     return bad
 
 
@@ -258,9 +223,10 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
         empties[x] = rects
 
     violations: list[tuple] = []
-    domains: dict[tuple, list[tuple]] = {}
-    n_v = n_h = 0
+    n_sq = n_v = n_h = 0
     for x, rects in empties.items():
+        # every domain out of x is complete once x's pairs are seen
+        domains: dict[tuple, list[tuple]] = {}
         for l1, y, s1, m1 in rects:
             for l2, w, s2, m2 in empties[y]:
                 if w == x:
@@ -277,16 +243,14 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
                     continue
                 # each rectangle covers a cell at most once, so union and
                 # intersection fix the multiset of cells of the domain
-                key = (x, w, m1 | m2, m1 & m2)
-                domains.setdefault(key, []).append((l1, l2, s1 * s2))
-    n_sq = 0
-    for key, decomps in domains.items():
-        if len(decomps) != 2:
-            violations.append(("Sq-count", key[0], key[1], decomps))
-            continue
-        n_sq += 1
-        if decomps[0][2] != -decomps[1][2]:
-            violations.append(("Sq", key[0], key[1], decomps))
+                domains.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, s1 * s2))
+        for (w, _, _), decomps in domains.items():
+            if len(decomps) != 2:
+                violations.append(("Sq-count", x, w, decomps))
+                continue
+            n_sq += 1
+            if decomps[0][2] != -decomps[1][2]:
+                violations.append(("Sq", x, w, decomps))
     return SignAxiomReport(n_sq, n_v, n_h, violations)
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from . import complexes as _cx
 from . import grid as _grid
 from .grid import ComponentData, GridDiagram
+from .spin import _right_mul
 
 
 class NotDivisible(ArithmeticError):
@@ -81,20 +81,12 @@ class Laurent:
                 d[e] = d.get(e, 0) + c1 * c2
         return Laurent.from_dict(self.nvars, d)
 
-    def substitute_q(self, value: int) -> "Laurent":
-        """Replace q by an integer (used with -1 for Euler characteristics)."""
+    def at_q_minus_one(self) -> "Laurent":
+        """Specialise q to -1 (the Euler characteristic)."""
         d: dict[Exponent, int] = {}
         for (q, t2), c in self.terms:
-            if value == -1:
-                c = -c if q % 2 else c
-            elif value == 1:
-                pass
-            else:
-                if q < 0:
-                    raise ValueError("negative q power under integer substitution")
-                c *= value**q
             e = (0, t2)
-            d[e] = d.get(e, 0) + c
+            d[e] = d.get(e, 0) + (-c if q % 2 else c)
         return Laurent.from_dict(self.nvars, d)
 
     def shifted(self, dq: int = 0, dt2: Sequence[int] | None = None) -> "Laurent":
@@ -294,10 +286,18 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
                     row[j], row[t] = row[t], row[j]
             top = D[t]
             p = top[t]
+            zeroed = []
             for i in range(t + 1, m):
                 q = D[i][t] // p
                 if q:
-                    D[i] = [a - q * b for a, b in zip(D[i], top)]
+                    D[i] = row = [a - q * b for a, b in zip(D[i], top)]
+                    if not any(row[t:]):  # columns left of t are zero below t
+                        zeroed.append(i)
+            # a zero row adds no invariant factor; it leaves the matrix so
+            # no later pivot search or sweep reads it again
+            for i in reversed(zeroed):
+                del D[i]
+            m -= len(zeroed)
             # rows above t are zero in column t, so a column operation
             # only touches the rows that are nonzero there
             rows = [row for row in D[t:] if row[t]]
@@ -389,8 +389,9 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         targets = index.get(target_bg, {})
         entries = []
         for col, x in enumerate(members):
-            for y, sign, _ in _cx.differential_terms(G, x, _cx.Flavor.TILDE_GRADED):
-                entries.append((targets[y], col, sign))  # targets has every y by grading drop
+            for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
+                if not (any(ocols) or any(xcols)):  # targets has every such y by grading drop
+                    entries.append((targets[y], col, -1 if _right_mul(x, *label)[1] else 1))
         matrices[bg] = IntegerMatrix.from_entries(len(targets), len(members), entries)
 
     snfs = {bg: smith_normal_form(M) for bg, M in matrices.items()}
@@ -415,8 +416,17 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         n_i=comps.n_i,
         pieces=tuple(pieces),
         poincare=p,
-        euler=p.substitute_q(-1),
+        euler=p.at_q_minus_one(),
     )
+
+
+def hat_factor(l: int, j: int) -> Laurent:
+    """(1 + q^-1 t_j^-1) in l t-variables: the Poincare polynomial of the
+    rank-two factor each extra row of component j adds to the tilde
+    homology."""
+    t2 = [0] * l
+    t2[j] = -2
+    return Laurent.one(l) + Laurent.monomial(l, -1, t2)
 
 
 def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySummary:
@@ -430,9 +440,7 @@ def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySumm
     l = components.l
     quotient = H.poincare
     for j in range(l):
-        t2 = [0] * l
-        t2[j] = -2
-        factor = Laurent.one(l) + Laurent.monomial(l, -1, t2)
+        factor = hat_factor(l, j)
         for _ in range(components.n_i[j] - 1):
             quotient = quotient.divide_exact(factor)
     pieces = []
@@ -446,7 +454,7 @@ def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySumm
         n_i=components.n_i,
         pieces=tuple(pieces),
         poincare=quotient,
-        euler=quotient.substitute_q(-1),
+        euler=quotient.at_q_minus_one(),
     )
 
 

@@ -433,11 +433,8 @@ def _check_tilde_factor(t1, t2, G1, G2, comp_map) -> tuple[bool, int | None]:
     candidates = [j for j in range(len(small_ni)) if big_ni[mapping[j]] == small_ni[j] + 1]
     small_p = _permute_t(small.poincare, mapping)
     for j in candidates:
-        t2exp = [0] * small.poincare.nvars
-        t2exp[mapping[j]] = -2
-        factor = Laurent.one(small.poincare.nvars) + Laurent.monomial(small.poincare.nvars, -1, t2exp)
         try:
-            quotient = big.poincare.divide_exact(factor)
+            quotient = big.poincare.divide_exact(_hom.hat_factor(small.poincare.nvars, mapping[j]))
         except _hom.NotDivisible:
             continue
         if _hom.equal_up_to_t_shift(small_p, quotient) is not None:

@@ -259,23 +259,11 @@ def test_criterion_09_explicit_chain_isomorphisms():
                             lambda m: tuple(m[(c - 1) % n] for c in range(n)),
                         ),
                     ):
-                        img = phi(G, x)
-                        lhs = {}
-                        s_img = -1 if img.bit else 1
-                        for y, s, mono in complexes.differential_terms(H, img.perm):
-                            key = (y, mono)
-                            lhs[key] = lhs.get(key, 0) + s * s_img
-                            if not lhs[key]:
-                                del lhs[key]
-                        rhs = {}
-                        s_x = -1 if bit else 1
-                        for y, s, mono in complexes.differential_terms(G, perm):
+                        lhs = complexes.differential_minus(H, phi(G, x))
+                        rhs = complexes.ChainElement(n)
+                        for y, mono, c in complexes.differential_minus(G, x):
                             iy = phi(G, spin.SpinElement(y, 0))
-                            key = (iy.perm, mono_map(mono))
-                            val = s * s_x * (-1 if iy.bit else 1)
-                            rhs[key] = rhs.get(key, 0) + val
-                            if not rhs[key]:
-                                del rhs[key]
+                            rhs.add(iy.perm, mono_map(mono), c * (-1 if iy.bit else 1))
                         assert lhs == rhs, (G, x, phi.__name__)
     _report(9, "cyclic chain isomorphisms", t0, f"{grids} grids (n = 2, 3, 4), zero grading shifts")
 

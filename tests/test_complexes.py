@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from gridspin import complexes, grid, spin
+from gridspin import grid, spin
 from gridspin.complexes import (
     ChainElement,
-    Flavor,
     check_coboundary_equivalence,
     check_sign_axioms,
     d_squared_offenders,
@@ -66,10 +65,19 @@ def test_unsigned_mod2_unknot():
     assert d.terms == {(0, 1): {(0, 1): 1, (1, 0): 1}}
 
 
-@pytest.mark.parametrize("flavor", [Flavor.MINUS, Flavor.TILDE_GRADED])
-def test_d_squared_zero_all_n3(flavor):
+def test_d_squared_zero_all_n3():
     for G in grid.all_grids(3):
-        assert not d_squared_offenders(G, flavor)
+        assert not d_squared_offenders(G)
+
+
+def test_graded_d_squared_zero_all_n3():
+    for G in grid.all_grids(3):
+        for x in itertools.permutations(range(3)):
+            dd = ChainElement(3)
+            for y, _, c in graded_differential(G, spin.section(x)):
+                for w, mono, c2 in graded_differential(G, spin.section(y)):
+                    dd.add(w, mono, c * c2)
+            assert dd.is_zero(), (G, x)
 
 
 def test_signed_right_equals_minus_n3():
@@ -89,7 +97,9 @@ def test_graded_differential_preserves_alexander():
         for x in itertools.permutations(range(3)):
             A = grid.alexander2(G, x)
             M = grid.maslov(G, x)
-            for y, _sign, _mono in complexes.differential_terms(G, x, Flavor.TILDE_GRADED):
+            for _, y, ocols, xcols in grid.empty_rectangles(G, x):
+                if any(ocols) or any(xcols):
+                    continue
                 assert grid.alexander2(G, y) == A
                 assert grid.maslov(G, y) == M - 1
 
@@ -188,8 +198,7 @@ def test_d_squared_on_random_n5():
 
     rng = random.Random(17)
     G = grid.random_grid(5, rng)
-    assert not d_squared_offenders(G, Flavor.MINUS)
-    assert not d_squared_offenders(G, Flavor.MOD2_UNSIGNED)
+    assert not d_squared_offenders(G)
 
 
 def test_minus_differential_bidegree():

@@ -114,23 +114,11 @@ def _phi_commutes(G, H, phi, mono_map):
     for perm in itertools.permutations(range(n)):
         for bit in (0, 1):
             x = spin.SpinElement(perm, bit)
-            img = phi(x)
-            lhs = {}
-            sign_img = -1 if img.bit else 1
-            for y, s, mono in complexes.differential_terms(H, img.perm):
-                key = (y, mono)
-                lhs[key] = lhs.get(key, 0) + s * sign_img
-                if not lhs[key]:
-                    del lhs[key]
-            rhs = {}
-            sign_x = -1 if bit else 1
-            for y, s, mono in complexes.differential_terms(G, perm):
+            lhs = complexes.differential_minus(H, phi(x))
+            rhs = complexes.ChainElement(n)
+            for y, mono, c in complexes.differential_minus(G, x):
                 iy = phi(spin.SpinElement(y, 0))
-                key = (iy.perm, mono_map(mono))
-                val = s * sign_x * (-1 if iy.bit else 1)
-                rhs[key] = rhs.get(key, 0) + val
-                if not rhs[key]:
-                    del rhs[key]
+                rhs.add(iy.perm, mono_map(mono), c * (-1 if iy.bit else 1))
             if lhs != rhs:
                 return False
     return True
