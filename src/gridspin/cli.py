@@ -23,7 +23,7 @@ from . import spin as _spin
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
 # homology, alexander, invariance and check enumerate all n! generators
-MAX_N = 7
+MAX_N = 8
 
 
 def _load_grid(path: str) -> _grid.GridDiagram:

@@ -139,9 +139,16 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label, variant: s
     h = (x[b] - x[a]) % n
     if any((x[c] - x[a]) % n < h for c in _grid.cyclic_span(a, b, n)[1:]):
         raise ValueError(f"rectangle {label} out of {x} is not empty")
+    return _rectangle_sign(x, label, variant)
+
+
+def _rectangle_sign(x: tuple[int, ...], label: Label, variant: str) -> int:
+    """``sign_assignment`` for a label already known to name an empty
+    rectangle out of x."""
+    a, b = label
     # x^-1 y is the plain transposition (a b)
-    t_perm = list(range(G.n))
-    t_perm[a], t_perm[b] = t_perm[b], t_perm[a]
+    t_perm = list(range(len(x)))
+    t_perm[a], t_perm[b] = b, a
     t_perm = tuple(t_perm)
     eps = -1 if _grid.is_horizontally_torn(label) else 1
     if variant == "right":
@@ -158,7 +165,7 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
     x = tuple(x)
     out = ChainElement(G.n)
     for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
-        out.add(y, ocols, sign_assignment(G, x, label, variant))
+        out.add(y, ocols, _rectangle_sign(x, label, variant))
     return out
 
 
@@ -168,22 +175,32 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
 
 def d_squared_offenders(G: GridDiagram) -> list[tuple]:
     """Generators where the minus differential fails to square to zero
-    over Z; empty on every valid grid."""
+    over Z; empty on every valid grid.
+
+    A rectangle's O-counts (each 0 or 1) are packed two bits per column,
+    so the monomial of a composite is the sum of two packed keys: no
+    column sum exceeds 2, so the sum never carries.
+    """
+    n = G.n
     d = {
         x: [
-            (y, -1 if _right_mul(x, *label)[1] else 1, ocols)
+            (y, -1 if _right_mul(x, *label)[1] else 1, sum(k << 2 * c for c, k in enumerate(ocols)))
             for label, y, ocols, _ in _grid.empty_rectangles(G, x)
         ]
-        for x in itertools.permutations(range(G.n))
+        for x in itertools.permutations(range(n))
     }
     bad = []
     for x, terms in d.items():
         acc: dict[tuple, int] = {}
         for y, s1, m1 in terms:
             for w, s2, m2 in d[y]:
-                key = (w, tuple(u + v for u, v in zip(m1, m2)))
+                key = (w, m1 + m2)
                 acc[key] = acc.get(key, 0) + s1 * s2
-        bad.extend((x, key, c) for key, c in acc.items() if c)
+        bad.extend(
+            (x, (w, tuple((m >> 2 * c) & 3 for c in range(n))), k)
+            for (w, m), k in acc.items()
+            if k
+        )
     return bad
 
 
@@ -219,7 +236,7 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
             rows = ((1 << h) - 1) << x[a]
             rows = (rows | rows >> n) & ((1 << n) - 1)
             cells = sum(rows << (c * n) for c in _grid.cyclic_span(a, b, n))
-            rects.append((label, y, sign_assignment(G, x, label, variant), cells))
+            rects.append((label, y, _rectangle_sign(x, label, variant), cells))
         empties[x] = rects
 
     violations: list[tuple] = []

@@ -174,11 +174,25 @@ def _grading_constants(G: GridDiagram) -> tuple[int, tuple[int, ...]]:
     return _markers_j2(O, O) // 2 + 1, tuple(alex)
 
 
+def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(Maslov degree, doubled Alexander multi-grading) of x; the O-marker
+    pair counts enter both, so they are counted once."""
+    n = G.n
+    comps = G.components
+    m0, alex = G.grading_constants
+    inside = sum(1 for i in range(n) for k in range(i + 1, n) if x[i] < x[k])
+    o_pairs = _marker_pairs(x, G.o_rows)
+    out = list(alex)
+    for c, k in enumerate(_marker_pairs(x, G.x_rows)):
+        out[comps.comp_of_x[c] - 1] += k
+    for c, k in enumerate(o_pairs):
+        out[comps.comp_of_o[c] - 1] -= k
+    return inside - sum(o_pairs) + m0, tuple(out)
+
+
 def maslov(G: GridDiagram, x: Sequence[int]) -> int:
     """Maslov degree I(x, x) - J2(x, O) + I(O, O) + 1."""
-    n = G.n
-    inside = sum(1 for i in range(n) for k in range(i + 1, n) if x[i] < x[k])
-    return inside - sum(_marker_pairs(x, G.o_rows)) + G.grading_constants[0]
+    return _gradings(G, x)[0]
 
 
 def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
@@ -187,13 +201,7 @@ def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
     Componentwise A_j = J(x - (X+O)/2, X_j - O_j) - (n_j - 1)/2, stored as
     2*A_j to stay in exact integers.
     """
-    comps = G.components
-    out = list(G.grading_constants[1])
-    for c, k in enumerate(_marker_pairs(x, G.x_rows)):
-        out[comps.comp_of_x[c] - 1] += k
-    for c, k in enumerate(_marker_pairs(x, G.o_rows)):
-        out[comps.comp_of_o[c] - 1] -= k
-    return tuple(out)
+    return _gradings(G, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +328,18 @@ def random_grid(n: int, rng: random.Random) -> GridDiagram:
 UNKNOT_2 = (2, (1, 0), (0, 1))
 TREFOIL_5 = (5, (2, 3, 4, 0, 1), (0, 1, 2, 3, 4))
 HOPF_4 = (4, (2, 3, 0, 1), (0, 1, 2, 3))
+
+
+def torus_grid(p: int, q: int) -> GridDiagram:
+    """The torus link T(p, q) on a grid of size p + q: X on the diagonal and
+    the O of column c in row (c + p) mod (p + q).  Under this package's
+    conventions the diagram presents the mirror of the positive torus
+    link (its hat homology is the negative torus knot's when p and q are
+    coprime); ``trefoil5()`` is ``torus_grid(2, 3)``."""
+    if p < 1 or q < 1:
+        raise ValueError(f"torus_grid needs p, q >= 1, got ({p}, {q})")
+    n = p + q
+    return GridDiagram(n, tuple((c + p) % n for c in range(n)), tuple(range(n)))
 
 
 def unknot2() -> GridDiagram:

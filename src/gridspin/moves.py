@@ -329,9 +329,9 @@ def phi_grading_shifts(G: GridDiagram, which: str) -> MoveShiftReport:
     a_shifts = set()
     for x in itertools.permutations(range(G.n)):
         img = phi(G, _spin.section(x))
-        m_shifts.add(_grid.maslov(H, img.perm) - _grid.maslov(G, x))
-        a_g = _grid.alexander2(G, x)
-        a_h = _grid.alexander2(H, img.perm)
+        m_g, a_g = _grid._gradings(G, x)
+        m_h, a_h = _grid._gradings(H, img.perm)
+        m_shifts.add(m_h - m_g)
         a_shifts.add(tuple(a_h[cmap[j + 1] - 1] - a_g[j] for j in range(l)))
     return MoveShiftReport(
         maslov_shift=m_shifts.pop() if len(m_shifts) == 1 else None,

@@ -140,14 +140,14 @@ def test_bad_move_script(grid_file, capsys, tmp_path):
 
 
 def test_size_bound(grid_file, capsys):
-    # one step past the bound: an 8x8 unknot, refused before any work
-    path = grid_file("big.grid", grid.GridDiagram(8, tuple(range(1, 8)) + (0,), tuple(range(8))))
+    # one step past the bound: a 9x9 unknot, refused before any work
+    path = grid_file("big.grid", grid.GridDiagram(9, tuple(range(1, 9)) + (0,), tuple(range(9))))
     for argv in (("homology", path), ("alexander", path), ("invariance", path, path), ("check", path)):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: TooLarge: ") and "n <= 7" in err and err.count("\n") == 1
+        assert err.startswith("error: TooLarge: ") and "n <= 8" in err and err.count("\n") == 1
     code, out, _ = run(capsys, "info", path)
-    assert code == 0 and "n 8" in out
+    assert code == 0 and "n 9" in out
 
 
 def test_threads_positive(grid_file, capsys):

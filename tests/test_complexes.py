@@ -70,6 +70,38 @@ def test_d_squared_zero_all_n3():
         assert not d_squared_offenders(G)
 
 
+def test_d_squared_offenders_report_monomials(monkeypatch):
+    # flip the group-law sign of one rectangle: the offenders, with their
+    # monomials as tuples, must equal a plain recomputation of d^2; this
+    # rectangle's composites include U-exponents of 2
+    from gridspin import complexes
+
+    G = grid.trefoil5()
+    x0, label0 = (1, 0, 2, 3, 4), (0, 1)
+    right_mul = spin._right_mul
+
+    def flipped(x, a, b):
+        y, bit = right_mul(x, a, b)
+        return (y, bit ^ 1) if (tuple(x), (a, b)) == (x0, label0) else (y, bit)
+
+    monkeypatch.setattr(complexes, "_right_mul", flipped)
+    d = {
+        x: [(y, -1 if flipped(x, *label)[1] else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
+        for x in itertools.permutations(range(G.n))
+    }
+    want = []
+    for x, terms in d.items():
+        acc = {}
+        for y, s1, m1 in terms:
+            for w, s2, m2 in d[y]:
+                key = (w, tuple(u + v for u, v in zip(m1, m2)))
+                acc[key] = acc.get(key, 0) + s1 * s2
+        want.extend((x, key, c) for key, c in acc.items() if c)
+    got = d_squared_offenders(G)
+    assert got and got == want
+    assert any(2 in mono for _, (_, mono), _ in got)
+
+
 def test_graded_d_squared_zero_all_n3():
     for G in grid.all_grids(3):
         for x in itertools.permutations(range(3)):

@@ -132,21 +132,68 @@ def _graded_terms(G, x):
     ]
 
 
+def _boundary_blocks(G):
+    """Every boundary block of the marker-free differential: +-1 entries,
+    the shape the homology path reduces."""
+    by_grading = {}
+    for x in itertools.permutations(range(G.n)):
+        by_grading.setdefault((grid.maslov(G, x), grid.alexander2(G, x)), []).append(x)
+    for (maslov, alexander), members in by_grading.items():
+        below = {y: i for i, y in enumerate(by_grading.get((maslov - 1, alexander), []))}
+        entries = [
+            (below[y], col, sign) for col, x in enumerate(members) for y, sign in _graded_terms(G, x)
+        ]
+        yield IntegerMatrix.from_entries(len(below), len(members), entries)
+
+
 def test_snf_boundary_blocks():
-    # every boundary block of the marker-free differential: +-1 entries,
-    # the shape the homology path reduces
     for G in (grid.trefoil5(), grid.random_grid(6, random.Random(66))):
-        by_grading = {}
-        for x in itertools.permutations(range(G.n)):
-            by_grading.setdefault((grid.maslov(G, x), grid.alexander2(G, x)), []).append(x)
-        for (maslov, alexander), members in by_grading.items():
-            below = {y: i for i, y in enumerate(by_grading.get((maslov - 1, alexander), []))}
-            entries = [
-                (below[y], col, sign)
-                for col, x in enumerate(members)
-                for y, sign in _graded_terms(G, x)
-            ]
-            _certified_diagonal(IntegerMatrix.from_entries(len(below), len(members), entries))
+        for A in _boundary_blocks(G):
+            _certified_diagonal(A)
+
+
+def test_snf_n7_knot_blocks():
+    # blocks of an n = 7 knot (up to 686 generators a side); the oracle is
+    # certified on smaller inputs above, and its product check would take
+    # most of a minute here
+    G = grid.random_grid(7, random.Random(2))
+    assert G.components.l == 1
+    for A in _boundary_blocks(G):
+        assert smith_normal_form(A).diagonal == oracle_snf.smith_normal_form(A).diagonal
+
+
+def _mixed(dense, rng, steps):
+    """dense after random unimodular row and column operations."""
+    D = [row[:] for row in dense]
+    m, n = len(D), len(D[0])
+    for _ in range(steps):
+        i, k = rng.sample(range(m), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        D[i] = [a + q * b for a, b in zip(D[i], D[k])]
+        j, l = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in D:
+            row[j] += q * row[l]
+    return D
+
+
+def test_snf_residual_after_units():
+    # a sparse +-1 block next to a block without units, mixed: the unit
+    # stage can only contribute factors 1, so the torsion below must come
+    # from the dense residual stage
+    rng = random.Random(17)
+    for _ in range(6):
+        p, q = rng.randint(6, 14), rng.randint(6, 14)
+        k = rng.randint(2, 5)
+        dense = [[0] * (q + k) for _ in range(p + k)]
+        for _ in range(2 * p):
+            dense[rng.randrange(p)][rng.randrange(q)] = rng.choice((-1, 1))
+        for i in range(k):
+            for j in range(k):
+                dense[p + i][q + j] = rng.choice((0, 2, -2, 3, -3, 6, -6))
+        dense[p][q] = 6  # keeps the non-unit block nonzero
+        diagonal = _certified_diagonal(IntegerMatrix.from_dense(_mixed(dense, rng, 3 * (p + k))))
+        assert any(d > 1 for d in diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +283,64 @@ def test_trefoil_homology():
     gradings = sorted(bg.alexander2[0] for bg, r, _ in hat.pieces)
     assert gradings == [-2, 0, 2]  # three consecutive Alexander levels
     assert render_polynomial(alexander_polynomial(T)) == "t - 1 + t^-1"
+
+
+def _torus_delta(p, q):
+    """Coefficients, lowest degree first, of the Alexander polynomial
+    (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) of the torus knot T(p, q)."""
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return out
+
+    num = mul([-1] + [0] * (p * q - 1) + [1], [-1, 1])
+    den = mul([-1] + [0] * (p - 1) + [1], [-1] + [0] * (q - 1) + [1])
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quotient))):  # den is monic
+        quotient[k] = c = num[k + len(den) - 1]
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    assert not any(num)
+    return quotient
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (3, 4), (3, 5)])
+def test_torus_knots_match_closed_form(p, q):
+    # torus knots are L-space knots: Delta = sum_k (-1)^k t^(n_k) with
+    # n_0 > n_1 > ..., and HFK-hat is Z in Alexander grading n_k and Maslov
+    # grading d_k, d_0 = 0, d_k = d_(k-1) - 1 for even k and
+    # d_(k-1) - 2 (n_(k-1) - n_k) + 1 for odd k (Ozsvath-Szabo).  The grid
+    # presents the mirror, whose hat homology sits at (-d_k, -n_k).
+    G = grid.torus_grid(p, q)
+    assert G.n == p + q and G.components.l == 1
+    coeffs = _torus_delta(p, q)
+    degree = len(coeffs) - 1
+    assert degree == (p - 1) * (q - 1)
+    delta = {(0, (2 * e - degree,)): c for e, c in enumerate(coeffs) if c}
+    assert render_polynomial(alexander_polynomial(G)) == render_polynomial(Laurent.from_dict(1, delta))
+
+    staircase = sorted(((e - degree // 2, c) for e, c in enumerate(coeffs) if c), reverse=True)
+    assert [c for _, c in staircase] == [(-1) ** k for k in range(len(staircase))]
+    expected = {(0, (-2 * staircase[0][0],)): 1}
+    d = 0
+    for k in range(1, len(staircase)):
+        d -= 1 if k % 2 == 0 else 2 * (staircase[k - 1][0] - staircase[k][0]) - 1
+        expected[(-d, (-2 * staircase[k][0],))] = 1
+    hat = hat_reduction(bigraded_homology(G), G.components)
+    assert {(bg.maslov, bg.alexander2): r for bg, r, _ in hat.pieces} == expected
+    assert not hat.has_torsion
+
+
+def test_torus_grid_shape():
+    assert grid.torus_grid(2, 3) == grid.trefoil5()
+    G = grid.torus_grid(3, 5)
+    assert G.x_rows == tuple(range(8)) and G.o_rows == (3, 4, 5, 6, 7, 0, 1, 2)
+    for p, q in ((0, 3), (3, 0), (-1, 4)):
+        with pytest.raises(ValueError):
+            grid.torus_grid(p, q)
 
 
 def test_hopf_link_hat():
