@@ -11,7 +11,7 @@ itself:
 
 * minus        - every empty rectangle, signs from the group law;
 * signed       - every empty rectangle, signs from the cocycle formula;
-* graded       - only rectangles free of all markers, group-law signs;
+* graded       - the scan's marker-free rectangles only, group-law signs;
 * mod2         - every empty rectangle, unsigned, coefficients mod 2.
 """
 from __future__ import annotations
@@ -94,9 +94,8 @@ def graded_differential(G: GridDiagram, g: SpinElement) -> ChainElement:
     out = ChainElement(G.n)
     outer = -1 if g.bit else 1
     unit = (0,) * G.n
-    for label, y, ocols, xcols in _grid.empty_rectangles(G, g.perm):
-        if not (any(ocols) or any(xcols)):
-            out.add(y, unit, -outer if _right_mul(g.perm, *label)[1] else outer)
+    for label, y in _grid.empty_rectangles(G, g.perm, marker_free=True):
+        out.add(y, unit, -outer if _right_mul(g.perm, *label)[1] else outer)
     return out
 
 

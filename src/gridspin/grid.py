@@ -133,23 +133,6 @@ def trace_components(G: GridDiagram) -> ComponentData:
 # The marker-only terms are computed once per grid (grading_constants).
 
 
-def _marker_pairs(x: Sequence[int], rows: Sequence[int]) -> list[int]:
-    """J2(x, {m}) for the marker m of each column c, in row rows[c].
-
-    A point (i, v) lies SW of m iff i <= c and v <= r, and m lies SW of it
-    iff c < i and r < v: the pair counts exactly when the point is on the
-    same side of m in both coordinates.
-    """
-    out = []
-    for c, r in enumerate(rows):
-        k = 0
-        for i, v in enumerate(x):
-            if (i <= c) == (v <= r):
-                k += 1
-        out.append(k)
-    return out
-
-
 def _markers_j2(A: Sequence[Point], B: Sequence[Point]) -> int:
     """J2(A, B) for lists of marker cells (c, r): pairs with one cell
     strictly SW of the other, counted in both directions."""
@@ -175,19 +158,27 @@ def _grading_constants(G: GridDiagram) -> tuple[int, tuple[int, ...]]:
 
 
 def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(Maslov degree, doubled Alexander multi-grading) of x; the O-marker
-    pair counts enter both, so they are counted once."""
+    """(Maslov degree, doubled Alexander multi-grading) of x in one pass
+    over the columns c, with ``seen`` the bitmask of the rows x[0..c].
+
+    With P the number of points (i, v), i <= c, with v <= r, the points on
+    the same side as the marker (c, r) in both coordinates number
+    P + (n - 1 - c) - (r + 1 - P), so J2(x, {m}) = 2P + n - c - r - 2.
+    I(x, x) gains the rows below x[c] seen before column c.
+    """
     n = G.n
     comps = G.components
     m0, alex = G.grading_constants
-    inside = sum(1 for i in range(n) for k in range(i + 1, n) if x[i] < x[k])
-    o_pairs = _marker_pairs(x, G.o_rows)
     out = list(alex)
-    for c, k in enumerate(_marker_pairs(x, G.x_rows)):
-        out[comps.comp_of_x[c] - 1] += k
-    for c, k in enumerate(o_pairs):
+    inside = j2_o = seen = 0
+    for c, (v, o, xr) in enumerate(zip(x, G.o_rows, G.x_rows)):
+        inside += (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
+        k = 2 * (seen & ((2 << o) - 1)).bit_count() + n - c - o - 2
+        j2_o += k
         out[comps.comp_of_o[c] - 1] -= k
-    return inside - sum(o_pairs) + m0, tuple(out)
+        out[comps.comp_of_x[c] - 1] += 2 * (seen & ((2 << xr) - 1)).bit_count() + n - c - xr - 2
+    return inside - j2_o + m0, tuple(out)
 
 
 def maslov(G: GridDiagram, x: Sequence[int]) -> int:
@@ -220,36 +211,54 @@ def is_horizontally_torn(label: Label) -> bool:
     return a > b
 
 
-def empty_rectangles(G: GridDiagram, x: Sequence[int]) -> list[tuple[Label, tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
     """The empty rectangles out of x: (label, target, o_counts, x_counts)
-    with counts indexed by column.
+    with counts indexed by column, or with ``marker_free`` only those
+    containing no marker, as (label, target).
 
     One cyclic scan per left column a: b runs through a+1, a+2, ... and
     ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the
     columns c passed so far.  Offsets of distinct columns differ, so
     (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
     below ``lowest``.  A marker of column c in the span [a, b) lies inside
-    exactly when its row offset from x[a] is below h.
+    exactly when its row offset from x[a] is below h; ``mark``, the
+    smallest marker offset of the span, makes the rectangle marker-free
+    exactly when h <= mark.
     """
     n = G.n
     x = tuple(x)
+    o_rows, x_rows = G.o_rows, G.x_rows
     out = []
     for a in range(n):
         xa = x[a]
-        lowest = n
+        lowest = mark = n
         for width in range(1, n):
             b = (a + width) % n
+            if marker_free:  # column b - 1 joins the span (index -1 is column n - 1)
+                k = (o_rows[b - 1] - xa) % n
+                if k < mark:
+                    mark = k
+                k = (x_rows[b - 1] - xa) % n
+                if k < mark:
+                    mark = k
+                if not mark:
+                    break  # a marker lies on the bottom row of every later (a, b)
             h = (x[b] - xa) % n
             if h >= lowest:
                 continue
             lowest = h
+            if marker_free and h > mark:
+                continue
             y = list(x)
             y[a], y[b] = x[b], xa
+            if marker_free:
+                out.append(((a, b), tuple(y)))
+                continue
             o_cols = [0] * n
             x_cols = [0] * n
             for c in cyclic_span(a, b, n):
-                o_cols[c] = int((G.o_rows[c] - xa) % n < h)
-                x_cols[c] = int((G.x_rows[c] - xa) % n < h)
+                o_cols[c] = int((o_rows[c] - xa) % n < h)
+                x_cols[c] = int((x_rows[c] - xa) % n < h)
             out.append(((a, b), tuple(y), tuple(o_cols), tuple(x_cols)))
     return out
 

@@ -454,11 +454,9 @@ class HomologySummary:
 def bigraded_homology(G: GridDiagram) -> HomologySummary:
     """Homology of the marker-free differential, split by bigrading."""
     comps = G.components
-    gens = list(itertools.permutations(range(G.n)))
-    grading = {x: Bigrading(*_grid._gradings(G, x)) for x in gens}
     by_grading: dict[Bigrading, list[tuple[int, ...]]] = {}
-    for x in gens:
-        by_grading.setdefault(grading[x], []).append(x)
+    for x in itertools.permutations(range(G.n)):
+        by_grading.setdefault(Bigrading(*_grid._gradings(G, x)), []).append(x)
     index = {
         bg: {x: i for i, x in enumerate(members)} for bg, members in by_grading.items()
     }
@@ -470,9 +468,8 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         targets = index.get(target_bg, {})
         entries = []
         for col, x in enumerate(members):
-            for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
-                if not (any(ocols) or any(xcols)):  # targets has every such y by grading drop
-                    entries.append((targets[y], col, -1 if _right_mul(x, *label)[1] else 1))
+            for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
+                entries.append((targets[y], col, -1 if _right_mul(x, *label)[1] else 1))
         matrices[bg] = IntegerMatrix.from_entries(len(targets), len(members), entries)
 
     snfs = {bg: smith_normal_form(M) for bg, M in matrices.items()}

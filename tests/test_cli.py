@@ -139,15 +139,23 @@ def test_bad_move_script(grid_file, capsys, tmp_path):
     assert code == 2 and "IllegalCommutation" in err
 
 
+def _unknot(n):
+    return grid.GridDiagram(n, tuple(range(1, n)) + (0,), tuple(range(n)))
+
+
 def test_size_bound(grid_file, capsys):
-    # one step past the bound: a 9x9 unknot, refused before any work
-    path = grid_file("big.grid", grid.GridDiagram(9, tuple(range(1, 9)) + (0,), tuple(range(9))))
-    for argv in (("homology", path), ("alexander", path), ("invariance", path, path), ("check", path)):
+    # one step past each command's bound, refused before any work: a 10x10
+    # unknot for the homology commands, a 9x9 one for check
+    p10 = grid_file("big10.grid", _unknot(10))
+    p9 = grid_file("big9.grid", _unknot(9))
+    cases = [(("homology", p10), 9), (("alexander", p10), 9), (("invariance", p10, p10), 9), (("check", p9), 8)]
+    for argv, bound in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: TooLarge: ") and "n <= 8" in err and err.count("\n") == 1
-    code, out, _ = run(capsys, "info", path)
-    assert code == 0 and "n 9" in out
+        assert err.startswith("error: TooLarge: ") and f"n <= {bound}" in err and err.count("\n") == 1
+    for path, n in ((p9, 9), (p10, 10)):
+        code, out, _ = run(capsys, "info", path)
+        assert code == 0 and f"n {n}" in out
 
 
 def test_threads_positive(grid_file, capsys):

@@ -106,10 +106,13 @@ def test_gradings_match_oracle():
     rng = random.Random(35)
     grids += [grid.random_grid(5, rng) for _ in range(20)]
     grids += [grid.random_grid(6, rng) for _ in range(3)]
-    for G in grids:
-        for x in itertools.permutations(range(G.n)):
-            got = (grid.maslov(G, x), grid.alexander2(G, x))
-            assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
+    samples = [(G, x) for G in grids for x in itertools.permutations(range(G.n))]
+    # a seeded sample at n = 8, past the sizes above
+    T = grid.torus_grid(3, 5)
+    samples += [(T, tuple(rng.sample(range(8), 8))) for _ in range(300)]
+    for G, x in samples:
+        got = (grid.maslov(G, x), grid.alexander2(G, x))
+        assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
 
 
 def test_alexander_parity_constant_per_component():
@@ -142,7 +145,8 @@ def _empty_rectangles_per_label(G, x):
     return sorted(out)
 
 
-def test_empty_rectangles_match_per_label_oracle():
+def _scan_grids():
+    """Every grid with n <= 4, ten seeded n = 5, two n = 6 and one n = 7."""
     import random
 
     grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
@@ -150,9 +154,25 @@ def test_empty_rectangles_match_per_label_oracle():
     grids += [grid.random_grid(5, rng) for _ in range(10)]
     grids += [grid.random_grid(6, rng) for _ in range(2)]
     grids.append(grid.random_grid(7, rng))
-    for G in grids:
+    return grids
+
+
+def test_empty_rectangles_match_per_label_oracle():
+    for G in _scan_grids():
         for x in itertools.permutations(range(G.n)):
             assert sorted(grid.empty_rectangles(G, x)) == _empty_rectangles_per_label(G, x)
+
+
+def test_marker_free_scan_matches_filter_and_cell_oracle():
+    # the marker-free scan against the full scan filtered by its counts and
+    # against the mod-2 oracle, which scans the cells of each rectangle
+    for G in _scan_grids():
+        for x in itertools.permutations(range(G.n)):
+            fast = sorted(grid.empty_rectangles(G, x, marker_free=True))
+            full = [r for r in grid.empty_rectangles(G, x) if not (any(r[2]) or any(r[3]))]
+            assert fast == sorted((label, y) for label, y, _, _ in full), (G, x)
+            cells = oracle_mod2.marker_free_empty_rectangles(G.n, G.o_rows, G.x_rows, x)
+            assert sorted(y for _, y in fast) == sorted(cells), (G, x)
 
 
 def test_realize_rectangle_spans():
