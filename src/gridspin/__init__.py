@@ -13,6 +13,7 @@ from .complexes import (
     differential_minus,
     differential_signed,
     graded_differential,
+    rectangle_table,
     sign_assignment,
     unsigned_differential_mod2,
 )

@@ -13,9 +13,13 @@ itself:
 * signed       - every empty rectangle, signs from the cocycle formula;
 * graded       - the scan's marker-free rectangles only, group-law signs;
 * mod2         - every empty rectangle, unsigned, coefficients mod 2.
+
+The whole-complex checks (d^2 = 0, the sign axioms, gauge equivalence)
+share ``rectangle_table(G)``, which scans each generator once.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -107,9 +111,6 @@ def unsigned_differential_mod2(G: GridDiagram, x: tuple[int, ...]) -> ChainEleme
     return out.reduced_mod2()
 
 
-SIGN_VARIANTS = ("right", "reversed", "swapped")
-
-
 def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label, variant: str = "right") -> int:
     """Sign of the empty rectangle with the given label out of x.
 
@@ -163,7 +164,7 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
     """The sign-assignment form of the differential on plain generators."""
     x = tuple(x)
     out = ChainElement(G.n)
-    for label, y, ocols, xcols in _grid.empty_rectangles(G, x):
+    for label, y, ocols, _ in _grid.empty_rectangles(G, x):
         out.add(y, ocols, _rectangle_sign(x, label, variant))
     return out
 
@@ -172,31 +173,44 @@ def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "righ
 # Whole-complex checks
 
 
-def d_squared_offenders(G: GridDiagram) -> list[tuple]:
-    """Generators where the minus differential fails to square to zero
-    over Z; empty on every valid grid.
-
-    A rectangle's O-counts (each 0 or 1) are packed two bits per column,
-    so the monomial of a composite is the sum of two packed keys: no
-    column sum exceeds 2, so the sum never carries.
+def rectangle_table(G: GridDiagram) -> tuple[list, list]:
+    """(generators, rectangles): the generators in ``itertools.permutations``
+    order and per generator, in scan order, a record (label, target, bit,
+    okey, cells) for each empty rectangle.  ``target`` indexes the
+    generators, ``bit`` is the central bit of section(x) * lift(label) and
+    ``cells`` the scan's cell bitmask.  ``okey`` packs the O-counts (each 0
+    or 1) two bits per column, so the key of a composite is the sum of two
+    keys: no column sum exceeds 2, so the sum never carries.
     """
-    n = G.n
-    d = {
-        x: [
-            (y, -1 if _right_mul(x, *label)[1] else 1, sum(k << 2 * c for c, k in enumerate(ocols)))
-            for label, y, ocols, _ in _grid.empty_rectangles(G, x)
+    gens = list(itertools.permutations(range(G.n)))
+    index = {x: i for i, x in enumerate(gens)}
+    shared: dict = {}  # labels and cell masks recur: one object each
+    pack = functools.cache(lambda ocols: sum(k << 2 * c for c, k in enumerate(ocols)))
+    rects = [
+        [
+            (shared.setdefault(label, label), index[y], _right_mul(x, *label)[1], pack(ocols),
+             shared.setdefault(cells, cells))
+            for label, y, ocols, cells in _grid.empty_rectangles(G, x)
         ]
-        for x in itertools.permutations(range(n))
-    }
+        for x in gens
+    ]
+    return gens, rects
+
+
+def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
+    """Generators where the minus differential fails to square to zero
+    over Z, as (x, (w, monomial), coefficient); empty on every valid grid."""
+    gens, rects = table
+    n = len(gens[0])
     bad = []
-    for x, terms in d.items():
-        acc: dict[tuple, int] = {}
-        for y, s1, m1 in terms:
-            for w, s2, m2 in d[y]:
+    for x, terms in zip(gens, rects):
+        acc: dict[tuple[int, int], int] = {}
+        for _, y, b1, m1, _ in terms:
+            for _, w, b2, m2, _ in rects[y]:
                 key = (w, m1 + m2)
-                acc[key] = acc.get(key, 0) + s1 * s2
+                acc[key] = acc.get(key, 0) + (-1 if b1 ^ b2 else 1)
         bad.extend(
-            (x, (w, tuple((m >> 2 * c) & 3 for c in range(n))), k)
+            (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k)
             for (w, m), k in acc.items()
             if k
         )
@@ -215,37 +229,25 @@ class SignAxiomReport:
         return not self.violations
 
 
-def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport:
-    """Verify the square, vertical-annulus and horizontal-annulus axioms on
-    every composable pair of empty rectangles of G.
+def check_sign_axioms(table: tuple[list, list], variant: str = "right") -> SignAxiomReport:
+    """Verify the square, vertical-annulus and horizontal-annulus axioms for
+    the signs of ``sign_assignment`` on every composable pair in the table.
 
     Composable pairs returning to their start are annuli (same ordered
     label twice: vertical; opposite labels: horizontal).  All other pairs
     are grouped by (start, end, support multiset); each group must consist
     of exactly two decompositions with opposite sign products.
     """
-    n = G.n
-    # per generator: (label, target, sign, cells) with cell (c, r) at bit c*n + r
-    empties: dict[tuple[int, ...], list[tuple[Label, tuple[int, ...], int, int]]] = {}
-    for x in itertools.permutations(range(n)):
-        rects = []
-        for label, y, _, _ in _grid.empty_rectangles(G, x):
-            a, b = label
-            h = (x[b] - x[a]) % n
-            rows = ((1 << h) - 1) << x[a]
-            rows = (rows | rows >> n) & ((1 << n) - 1)
-            cells = sum(rows << (c * n) for c in _grid.cyclic_span(a, b, n))
-            rects.append((label, y, _rectangle_sign(x, label, variant), cells))
-        empties[x] = rects
-
+    gens, rects = table
+    signs = [[_rectangle_sign(x, r[0], variant) for r in rs] for x, rs in zip(gens, rects)]
     violations: list[tuple] = []
     n_sq = n_v = n_h = 0
-    for x, rects in empties.items():
+    for i, x in enumerate(gens):
         # every domain out of x is complete once x's pairs are seen
         domains: dict[tuple, list[tuple]] = {}
-        for l1, y, s1, m1 in rects:
-            for l2, w, s2, m2 in empties[y]:
-                if w == x:
+        for (l1, y, _, _, m1), s1 in zip(rects[i], signs[i]):
+            for (l2, w, _, _, m2), s2 in zip(rects[y], signs[y]):
+                if w == i:
                     if l2 == l1:
                         n_v += 1
                         if s1 * s2 != -1:
@@ -262,11 +264,11 @@ def check_sign_axioms(G: GridDiagram, variant: str = "right") -> SignAxiomReport
                 domains.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, s1 * s2))
         for (w, _, _), decomps in domains.items():
             if len(decomps) != 2:
-                violations.append(("Sq-count", x, w, decomps))
+                violations.append(("Sq-count", x, gens[w], decomps))
                 continue
             n_sq += 1
             if decomps[0][2] != -decomps[1][2]:
-                violations.append(("Sq", x, w, decomps))
+                violations.append(("Sq", x, gens[w], decomps))
     return SignAxiomReport(n_sq, n_v, n_h, violations)
 
 
@@ -284,36 +286,31 @@ class CoboundaryResult:
 SignFn = Callable[[tuple[int, ...], Label], int]
 
 
-def check_coboundary_equivalence(S1: SignFn, S2: SignFn, G: GridDiagram) -> CoboundaryResult:
+def check_coboundary_equivalence(S1: SignFn, S2: SignFn, table: tuple[list, list]) -> CoboundaryResult:
     """Search for f with S1(r) = f(x) f(y) S2(r) on every empty rectangle.
 
     Propagates f over a spanning forest of the rectangle graph (one gauge
     choice per connected component) and then checks every edge, including
     parallel ones; a failed edge is returned as the witness.
     """
-    gens = list(itertools.permutations(range(G.n)))
-    edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {x: [] for x in gens}
-    for x in gens:
-        for label, y, _, _ in _grid.empty_rectangles(G, x):
-            ratio = S1(x, label) * S2(x, label)
-            edges[x].append((y, ratio))
-
-    f: dict[tuple[int, ...], int] = {}
+    gens, rects = table
+    edges = [[(r[1], S1(x, r[0]) * S2(x, r[0])) for r in rs] for x, rs in zip(gens, rects)]
+    f = [0] * len(gens)
     components = 0
-    for start in gens:
-        if start in f:
+    for start in range(len(gens)):
+        if f[start]:
             continue
         components += 1
         f[start] = 1
         queue = [start]
         while queue:
-            x = queue.pop()
-            for y, ratio in edges[x]:
-                if y not in f:
-                    f[y] = f[x] * ratio
-                    queue.append(y)
-    for x in gens:
-        for y, ratio in edges[x]:
-            if f[x] * f[y] != ratio:
-                return CoboundaryResult(None, components, witness=(x, y, ratio, f[x], f[y]))
-    return CoboundaryResult(f, components)
+            i = queue.pop()
+            for j, ratio in edges[i]:
+                if not f[j]:
+                    f[j] = f[i] * ratio
+                    queue.append(j)
+    for i, out in enumerate(edges):
+        for j, ratio in out:
+            if f[i] * f[j] != ratio:
+                return CoboundaryResult(None, components, witness=(gens[i], gens[j], ratio, f[i], f[j]))
+    return CoboundaryResult(dict(zip(gens, f)), components)

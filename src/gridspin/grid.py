@@ -212,9 +212,10 @@ def is_horizontally_torn(label: Label) -> bool:
 
 
 def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
-    """The empty rectangles out of x: (label, target, o_counts, x_counts)
-    with counts indexed by column, or with ``marker_free`` only those
-    containing no marker, as (label, target).
+    """The empty rectangles out of x: (label, target, o_counts, cells)
+    with the O-counts indexed by column and cell (c, r) of the rectangle
+    at bit c*n + r of the integer ``cells``, or with ``marker_free`` only
+    those containing no marker, as (label, target).
 
     One cyclic scan per left column a: b runs through a+1, a+2, ... and
     ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the
@@ -254,12 +255,15 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False
             if marker_free:
                 out.append(((a, b), tuple(y)))
                 continue
+            # the rows xa, ..., xa + h - 1 mod n (h < n, so reducing mod
+            # 2^n - 1 moves the bits past row n - 1 back to the bottom)
+            rows = (((1 << h) - 1) << xa) % ((1 << n) - 1)
             o_cols = [0] * n
-            x_cols = [0] * n
+            cells = 0
             for c in cyclic_span(a, b, n):
                 o_cols[c] = int((o_rows[c] - xa) % n < h)
-                x_cols[c] = int((x_rows[c] - xa) % n < h)
-            out.append(((a, b), tuple(y), tuple(o_cols), tuple(x_cols)))
+                cells |= rows << c * n
+            out.append(((a, b), tuple(y), tuple(o_cols), cells))
     return out
 
 

@@ -228,12 +228,6 @@ class IntegerMatrix:
             rows, cols, ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
         )
 
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
-
 
 @dataclass(frozen=True)
 class SmithForm:
@@ -264,16 +258,16 @@ def _pivot(D: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None
     return None if best is None else (best[1], best[2])
 
 
-def _dense_smith_form(A: IntegerMatrix) -> SmithForm:
-    """Invariant factors of A over Z.
+def _dense_smith_form(D: list[list[int]], n: int) -> SmithForm:
+    """Invariant factors over Z of the m x n matrix given by its rows D,
+    which it overwrites.
 
-    Row and column operations diagonalise a dense copy of A.  Pivots
+    Row and column operations diagonalise D.  Pivots
     prefer entries of absolute value one, then minimal absolute value,
     which keeps intermediate growth tame on boundary matrices.  Python
     integers make the arithmetic exact at any size.
     """
-    m, n = A.rows, A.cols
-    D = A.to_dense()
+    m = len(D)
     t = 0
     while t < min(m, n) and (pv := _pivot(D, t, m, n)) is not None:
         while True:
@@ -394,12 +388,11 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
         units += 1
 
     col_index = {c: k for k, c in enumerate(cols)}
-    residual = IntegerMatrix.from_entries(
-        len(rows),
-        len(col_index),
-        ((i, col_index[c], v) for i, row in enumerate(rows.values()) for c, v in row.items()),
-    )
-    return SmithForm((1,) * units + _dense_smith_form(residual).diagonal)
+    residual = [[0] * len(col_index) for _ in rows]
+    for dense, row in zip(residual, rows.values()):
+        for c, v in row.items():
+            dense[col_index[c]] = v
+    return SmithForm((1,) * units + _dense_smith_form(residual, len(col_index)).diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +454,20 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         bg: {x: i for i, x in enumerate(members)} for bg, members in by_grading.items()
     }
 
-    # boundary matrices keyed by source bigrading
+    # boundary matrices keyed by source bigrading, merged per column: on a
+    # split grid (a, b) and (b, a) out of x can both be marker-free and cancel
     matrices: dict[Bigrading, IntegerMatrix] = {}
     for bg, members in by_grading.items():
         target_bg = Bigrading(bg.maslov - 1, bg.alexander2)
         targets = index.get(target_bg, {})
         entries = []
         for col, x in enumerate(members):
+            column: dict[int, int] = {}
             for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
-                entries.append((targets[y], col, -1 if _right_mul(x, *label)[1] else 1))
-        matrices[bg] = IntegerMatrix.from_entries(len(targets), len(members), entries)
+                r = targets[y]
+                column[r] = column.get(r, 0) + (-1 if _right_mul(x, *label)[1] else 1)
+            entries.extend((r, col, v) for r, v in column.items() if v)
+        matrices[bg] = IntegerMatrix(len(targets), len(members), tuple(entries))
 
     snfs = {bg: smith_normal_form(M) for bg, M in matrices.items()}
     pieces = []

@@ -76,3 +76,15 @@ def marker_counts(G: GridDiagram, rect: RectangleInstance) -> tuple[tuple[int, .
         tuple(int(c in cols and G.o_rows[c] in rows) for c in numbering),
         tuple(int(c in cols and G.x_rows[c] in rows) for c in numbering),
     )
+
+
+def cell_bitmask(G: GridDiagram, rect: RectangleInstance) -> int:
+    """The rectangle's cells in the encoding of the scan's records: cell
+    (c, r) at bit c*n + r."""
+    return sum(1 << (c * G.n + r) for c, r in rect.cells())
+
+
+def x_counts(G: GridDiagram, cells: int) -> tuple[int, ...]:
+    """Per-column count (0 or 1) of the X markers inside the rectangle
+    with the given cell bitmask."""
+    return tuple((cells >> (c * G.n + r)) & 1 for c, r in enumerate(G.x_rows))

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 from gridspin.homology import IntegerMatrix
 
 
+def to_dense(A: IntegerMatrix) -> list[list[int]]:
+    out = [[0] * A.cols for _ in range(A.rows)]
+    for r, c, v in A.entries:
+        out[r][c] = v
+    return out
+
+
 @dataclass(frozen=True)
 class SmithForm:
     """Nonzero invariant factors d1 | d2 | ... and the unimodular transforms
@@ -53,7 +60,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     Python integers make the arithmetic exact at any size.
     """
     m, n = A.rows, A.cols
-    D = A.to_dense()
+    D = to_dense(A)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -142,7 +149,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
 def snf_product_check(A: IntegerMatrix, S: SmithForm) -> bool:
     """U * A * V equals the padded diagonal; used by the test suite."""
     m, n = A.rows, A.cols
-    dense = A.to_dense()
+    dense = to_dense(A)
     UA = [[sum(S.U[i][k] * dense[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
     UAV = [[sum(UA[i][k] * S.V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     for i in range(m):

@@ -10,6 +10,7 @@ import random
 import time
 
 import oracle_mod2
+import oracle_rectangles
 
 from gridspin import clifford, complexes, grid, homology, moves, spin
 
@@ -110,14 +111,14 @@ def test_criterion_03_sign_axioms():
     t0 = time.time()
     squares = annuli = 0
     for G in grid.all_grids(4):
-        report = complexes.check_sign_axioms(G)
+        report = complexes.check_sign_axioms(complexes.rectangle_table(G))
         assert report.ok, (G, report.violations[:3])
         squares += report.square_pairs
         annuli += report.vertical_annuli + report.horizontal_annuli
     rng = random.Random(103)
     for _ in range(50):
         G = grid.random_grid(5, rng)
-        report = complexes.check_sign_axioms(G)
+        report = complexes.check_sign_axioms(complexes.rectangle_table(G))
         assert report.ok, (G, report.violations[:3])
         squares += report.square_pairs
         annuli += report.vertical_annuli + report.horizontal_annuli
@@ -141,12 +142,13 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
     rng = random.Random(105)
     sample = list(grid.all_grids(3)) + [grid.random_grid(4, rng) for _ in range(30)]
     for G in sample:
-        report = complexes.check_sign_axioms(G, "reversed")
+        table = complexes.rectangle_table(G)
+        report = complexes.check_sign_axioms(table, "reversed")
         assert report.ok, (G, report.violations[:3])
         res = complexes.check_coboundary_equivalence(
             lambda x, l: complexes.sign_assignment(G, x, l, "right"),
             lambda x, l: complexes.sign_assignment(G, x, l, "reversed"),
-            G,
+            table,
         )
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
@@ -155,7 +157,7 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
                     G, x, label, "reversed"
                 ):
                     differs = True
-        if not complexes.check_sign_axioms(G, "swapped").ok:
+        if not complexes.check_sign_axioms(table, "swapped").ok:
             swapped_fails = True
     assert differs  # the two compliant orders are genuinely different functions
     assert swapped_fails  # the naive swap is not a sign assignment
@@ -277,7 +279,8 @@ def test_criterion_10_grading_identities():
             for x in itertools.permutations(range(n)):
                 M = grid.maslov(G, x)
                 A = grid.alexander2(G, x)
-                for label, y, ocols, xcols in grid.empty_rectangles(G, x):
+                for label, y, ocols, cells in grid.empty_rectangles(G, x):
+                    xcols = oracle_rectangles.x_counts(G, cells)
                     rects += 1
                     assert M - grid.maslov(G, y) == 1 - 2 * sum(ocols)
                     Ay = grid.alexander2(G, y)

@@ -75,6 +75,45 @@ def test_check_default_suites(grid_file, capsys):
     assert code == 0 and "d2: pass" in out
 
 
+def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
+    # one rectangle's group-law bit flipped: d^2 fails, while the cocycle
+    # signs of the sign-axiom suite and the mod-2 consistency check, which
+    # cannot see a sign, still pass
+    from gridspin import complexes, spin
+
+    x0, label0 = (1, 0, 2, 3, 4), (0, 1)
+    right_mul = spin._right_mul
+
+    def flipped(x, a, b):
+        y, bit = right_mul(x, a, b)
+        return (y, bit ^ 1) if (tuple(x), (a, b)) == (x0, label0) else (y, bit)
+
+    monkeypatch.setattr(complexes, "_right_mul", flipped)
+    path = grid_file("t.grid", grid.trefoil5())
+    code, out, _ = run(capsys, "check", path)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].startswith("d2: FAIL (") and lines[0].endswith(")")
+    assert lines[1:] == ["signs: pass (square 5400, vertical 600, horizontal 600)", "mod2: pass"]
+
+
+def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
+    calls = []
+    scan = grid.empty_rectangles
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "empty_rectangles", counted)
+    path = grid_file("t.grid", grid.trefoil5())
+    assert run(capsys, "check", path)[0] == 0
+    assert len(calls) == 120 and len(set(calls)) == 120  # 5! generators, one scan each
+    calls.clear()
+    assert run(capsys, "check", path, "--spin-relations")[0] == 0
+    assert not calls
+
+
 def test_homology_text_and_json_deterministic(grid_file, capsys):
     path = grid_file("u.grid", grid.unknot2())
     code, out1, _ = run(capsys, "homology", path, "--flavor", "hat", "--json")

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import oracle_rectangles as rects
 from gridspin import grid, spin
 from gridspin.complexes import (
     ChainElement,
@@ -11,6 +12,7 @@ from gridspin.complexes import (
     differential_minus,
     differential_signed,
     graded_differential,
+    rectangle_table,
     sign_assignment,
     unsigned_differential_mod2,
 )
@@ -65,9 +67,22 @@ def test_unsigned_mod2_unknot():
     assert d.terms == {(0, 1): {(0, 1): 1, (1, 0): 1}}
 
 
+def test_rectangle_table_matches_the_scan():
+    G = grid.hopf4()
+    gens, per_generator = rectangle_table(G)
+    assert gens == list(itertools.permutations(range(4)))
+    for x, records in zip(gens, per_generator):
+        unpacked = [
+            (label, gens[y], bit, tuple((okey >> 2 * c) & 3 for c in range(4)), cells)
+            for label, y, bit, okey, cells in records
+        ]
+        scan = grid.empty_rectangles(G, x)
+        assert unpacked == [(label, y, spin._right_mul(x, *label)[1], o, cells) for label, y, o, cells in scan]
+
+
 def test_d_squared_zero_all_n3():
     for G in grid.all_grids(3):
-        assert not d_squared_offenders(G)
+        assert not d_squared_offenders(rectangle_table(G))
 
 
 def test_d_squared_offenders_report_monomials(monkeypatch):
@@ -97,7 +112,7 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
                 key = (w, tuple(u + v for u, v in zip(m1, m2)))
                 acc[key] = acc.get(key, 0) + s1 * s2
         want.extend((x, key, c) for key, c in acc.items() if c)
-    got = d_squared_offenders(G)
+    got = d_squared_offenders(rectangle_table(G))
     assert got and got == want
     assert any(2 in mono for _, (_, mono), _ in got)
 
@@ -129,8 +144,8 @@ def test_graded_differential_preserves_alexander():
         for x in itertools.permutations(range(3)):
             A = grid.alexander2(G, x)
             M = grid.maslov(G, x)
-            for _, y, ocols, xcols in grid.empty_rectangles(G, x):
-                if any(ocols) or any(xcols):
+            for _, y, ocols, cells in grid.empty_rectangles(G, x):
+                if any(ocols) or any(rects.x_counts(G, cells)):
                     continue
                 assert grid.alexander2(G, y) == A
                 assert grid.maslov(G, y) == M - 1
@@ -138,7 +153,7 @@ def test_graded_differential_preserves_alexander():
 
 def test_sign_axioms_unknot_products():
     G = grid.unknot2()
-    report = check_sign_axioms(G)
+    report = check_sign_axioms(rectangle_table(G))
     assert report.ok
     assert report.vertical_annuli == 4 and report.horizontal_annuli == 4
     # the explicit annulus products
@@ -150,7 +165,7 @@ def test_sign_axioms_unknot_products():
 @pytest.mark.parametrize("variant", ["right", "reversed"])
 def test_sign_axioms_all_n3(variant):
     for G in grid.all_grids(3):
-        report = check_sign_axioms(G, variant)
+        report = check_sign_axioms(rectangle_table(G), variant)
         assert report.ok, (G, report.violations[:3])
 
 
@@ -162,11 +177,12 @@ def test_sign_axioms_all_n3(variant):
 def test_sign_axiom_counts_pinned(G, counts, swapped):
     # (square, vertical, horizontal) counts and the swapped variant's
     # violations, as recorded with the per-cell support bookkeeping
+    table = rectangle_table(G)
     for variant in ("right", "reversed"):
-        report = check_sign_axioms(G, variant)
+        report = check_sign_axioms(table, variant)
         assert report.ok
         assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
-    report = check_sign_axioms(G, "swapped")
+    report = check_sign_axioms(table, "swapped")
     assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
     assert len(report.violations) == swapped
     assert {kind for kind, *_ in report.violations} == {"H", "Sq", "V"}
@@ -176,7 +192,7 @@ def test_swapped_variant_fails_annulus_axioms():
     # the bare argument swap is not a sign assignment: it violates the
     # annulus axioms already on a 3x3 grid
     G = GridDiagram(3, (0, 1, 2), (1, 2, 0))
-    report = check_sign_axioms(G, "swapped")
+    report = check_sign_axioms(rectangle_table(G), "swapped")
     assert not report.ok
     assert any(kind in ("V", "H") for kind, *_ in report.violations)
 
@@ -184,7 +200,7 @@ def test_swapped_variant_fails_annulus_axioms():
 def test_coboundary_trivial_gauge():
     G = grid.unknot2()
     S = lambda x, l: sign_assignment(G, x, l)
-    res = check_coboundary_equivalence(S, S, G)
+    res = check_coboundary_equivalence(S, S, rectangle_table(G))
     assert res.ok and set(res.gauge.values()) <= {1, -1}
 
 
@@ -200,7 +216,7 @@ def test_coboundary_recovers_maslov_twist():
         y[a], y[b] = y[b], y[a]
         return S1(x, label) * (-1) ** grid.maslov(G, x) * (-1) ** grid.maslov(G, tuple(y))
 
-    res = check_coboundary_equivalence(S1, S2, G)
+    res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
     assert res.ok
     # the recovered gauge is the twist up to a constant per component
     base = res.gauge[(0, 1, 2)] * (-1) ** grid.maslov(G, (0, 1, 2))
@@ -212,7 +228,7 @@ def test_coboundary_right_vs_reversed_n3():
     for G in grid.all_grids(3):
         S1 = lambda x, l: sign_assignment(G, x, l, "right")
         S2 = lambda x, l: sign_assignment(G, x, l, "reversed")
-        res = check_coboundary_equivalence(S1, S2, G)
+        res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
         assert res.ok
 
 
@@ -221,7 +237,7 @@ def test_coboundary_detects_inconsistency():
     S1 = lambda x, l: sign_assignment(G, x, l)
     # flipping a single rectangle breaks every gauge
     S2 = lambda x, l: S1(x, l) * (-1 if (x, l) == ((0, 1), (0, 1)) else 1)
-    res = check_coboundary_equivalence(S1, S2, G)
+    res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
     assert not res.ok and res.witness is not None
 
 
@@ -230,7 +246,7 @@ def test_d_squared_on_random_n5():
 
     rng = random.Random(17)
     G = grid.random_grid(5, rng)
-    assert not d_squared_offenders(G)
+    assert not d_squared_offenders(rectangle_table(G))
 
 
 def test_minus_differential_bidegree():
@@ -244,7 +260,8 @@ def test_minus_differential_bidegree():
         comps = G.components
         for x in itertools.permutations(range(4)):
             M, A = grid.maslov(G, x), grid.alexander2(G, x)
-            for label, y, ocols, xcols in grid.empty_rectangles(G, x):
+            for label, y, ocols, cells in grid.empty_rectangles(G, x):
+                xcols = rects.x_counts(G, cells)
                 My, Ay = grid.maslov(G, y), grid.alexander2(G, y)
                 assert My - 2 * sum(ocols) == M - 1
                 for j in range(1, comps.l + 1):

@@ -130,7 +130,7 @@ def test_alexander_parity_constant_per_component():
 
 def _empty_rectangles_per_label(G, x):
     """Reference for empty_rectangles: realise all n(n-1) labels, keep the
-    empty ones, and count the markers of each column inside."""
+    empty ones, count the O's of each column inside and list the cells."""
     out = []
     for a, b in itertools.permutations(range(G.n), 2):
         rect = rects.realize_rectangle(G, x, (a, b))
@@ -140,8 +140,7 @@ def _empty_rectangles_per_label(G, x):
         y[a], y[b] = y[b], y[a]
         rows = set(rect.row_span)
         o_cols = tuple(int(c in rect.col_span and G.o_rows[c] in rows) for c in range(G.n))
-        x_cols = tuple(int(c in rect.col_span and G.x_rows[c] in rows) for c in range(G.n))
-        out.append(((a, b), tuple(y), o_cols, x_cols))
+        out.append(((a, b), tuple(y), o_cols, rects.cell_bitmask(G, rect)))
     return sorted(out)
 
 
@@ -169,7 +168,7 @@ def test_marker_free_scan_matches_filter_and_cell_oracle():
     for G in _scan_grids():
         for x in itertools.permutations(range(G.n)):
             fast = sorted(grid.empty_rectangles(G, x, marker_free=True))
-            full = [r for r in grid.empty_rectangles(G, x) if not (any(r[2]) or any(r[3]))]
+            full = [r for r in grid.empty_rectangles(G, x) if not (any(r[2]) or any(rects.x_counts(G, r[3])))]
             assert fast == sorted((label, y) for label, y, _, _ in full), (G, x)
             cells = oracle_mod2.marker_free_empty_rectangles(G.n, G.o_rows, G.x_rows, x)
             assert sorted(y for _, y in fast) == sorted(cells), (G, x)
@@ -241,7 +240,8 @@ def test_grading_drop_identities_exhaustive_n3():
         for x in itertools.permutations(range(3)):
             M = grid.maslov(G, x)
             A = grid.alexander2(G, x)
-            for label, y, ocols, xcols in grid.empty_rectangles(G, x):
+            for label, y, ocols, cells in grid.empty_rectangles(G, x):
+                xcols = rects.x_counts(G, cells)
                 assert M - grid.maslov(G, y) == 1 - 2 * sum(ocols)
                 Ay = grid.alexander2(G, y)
                 for j in range(1, comps.l + 1):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_mod2
+import oracle_rectangles
 import oracle_snf
 from gridspin import grid, spin
 from gridspin.grid import GridDiagram
@@ -123,12 +124,22 @@ def test_snf_rows_zeroed_partway():
         _certified_diagonal(IntegerMatrix.from_dense(stacked))
 
 
+def test_marker_free_targets_repeat_on_split_grids():
+    # why bigraded_homology merges its entries per column: on the split
+    # unlink both rectangles from x to y are marker-free and cancel
+    G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
+    x = (2, 1, 0, 3)
+    found = grid.empty_rectangles(G, x, marker_free=True)
+    assert [y for _, y in found] == [(0, 1, 2, 3)] * 2
+    assert sorted(spin._right_mul(x, *label)[1] for label, _ in found) == [0, 1]
+
+
 def _graded_terms(G, x):
     """(target, group-law sign) of every marker-free empty rectangle out of x."""
     return [
         (y, -1 if spin._right_mul(x, *label)[1] else 1)
-        for label, y, ocols, xcols in grid.empty_rectangles(G, x)
-        if not (any(ocols) or any(xcols))
+        for label, y, ocols, cells in grid.empty_rectangles(G, x)
+        if not (any(ocols) or any(oracle_rectangles.x_counts(G, cells)))
     ]
 
 
