@@ -2,10 +2,12 @@
 
 The sign refinement comes from the spin double cover of the symmetric
 group: rectangles act by right multiplication with lifted transpositions
-and the central element is identified with -1.
+and the central element is identified with -1.  The package holds only
+the program; the reference oracles it is checked against (the Clifford
+model of the double cover, the GF(2) homology, the naive rectangle
+geometry and the transform-carrying Smith form) live with the tests.
 """
 
-from .clifford import clifford_oracle_bit
 from .complexes import (
     ChainElement,
     check_coboundary_equivalence,
@@ -53,17 +55,13 @@ from .moves import (
     phi_cyclic_vertical,
 )
 from .spin import (
-    GeneratorWord,
     SpinElement,
     canonical_word,
     cocycle,
     compose,
-    conjugate_transposition,
-    evaluate_word,
     inverse,
     lift,
     multiply,
-    right_mul_transposition,
     section,
     sigma_element,
     signature,

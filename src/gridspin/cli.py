@@ -117,7 +117,7 @@ def _check_spin_relations(n: int, rng: random.Random) -> list[str]:
         if lhs != lifts[(i, k)]:
             failures.append(f"triple identity fails at ({i},{j},{k})")
     # cocycle condition on a seeded sample of triples
-    perms = list(_spin.all_permutations(n)) if n <= 4 else None
+    perms = list(itertools.permutations(range(n))) if n <= 4 else None
     for _ in range(500):
         if perms:
             x, y, w = (rng.choice(perms) for _ in range(3))
@@ -194,10 +194,12 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_move(args) -> int:
     G = _load_grid(args.grid)
-    script = _moves.parse_script(Path(args.script).read_text())
+    script = _moves.parse_script(Path(args.script).read_text(encoding="utf-8"))
     H = _moves.apply_script(G, script)
-    out = _grid.format_grid_text(H, comment=f"moved by {args.script}")
-    Path(args.output).write_text(out)
+    # encoded before the file opens: a name that cannot be encoded leaves
+    # no partial output behind
+    out = _grid.format_grid_text(H, comment=f"moved by {args.script}").encode("utf-8")
+    Path(args.output).write_bytes(out)
     print(f"wrote {args.output} (n={H.n})")
     return OK
 
@@ -288,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_grid.GridError, _moves.MoveError) as exc:
         print(f"error: {getattr(exc, 'code', 'Input')}: {exc}", file=sys.stderr)
         return BAD_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except _hom.NotDivisible as exc:

@@ -15,7 +15,10 @@ itself:
 * mod2         - every empty rectangle, unsigned, coefficients mod 2.
 
 The whole-complex checks (d^2 = 0, the sign axioms, gauge equivalence)
-share ``rectangle_table(G)``, which scans each generator once.
+share ``rectangle_table(G)``, which scans each generator once.  The sign
+checks take any sign assignment as a function (x, label) -> +-1; the
+program has one, ``sign_assignment``, and reference formulas with other
+cocycle argument orders are test oracles.
 """
 from __future__ import annotations
 
@@ -26,10 +29,11 @@ from typing import Callable, Iterator
 
 from . import grid as _grid
 from .grid import GridDiagram
-from .spin import Label, SpinElement, _right_mul, cocycle, inverse_perm
+from .spin import Label, SpinElement, _right_mul, cocycle
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
+SignFn = Callable[[tuple[int, ...], Label], int]  # (x, label) -> +-1
 
 
 @dataclass
@@ -50,13 +54,6 @@ class ChainElement:
             del poly[mono]
             if not poly:
                 del self.terms[perm]
-
-    def scaled(self, k: int) -> "ChainElement":
-        out = ChainElement(self.n)
-        for perm, poly in self.terms.items():
-            for mono, c in poly.items():
-                out.add(perm, mono, k * c)
-        return out
 
     def reduced_mod2(self) -> "ChainElement":
         out = ChainElement(self.n)
@@ -111,23 +108,14 @@ def unsigned_differential_mod2(G: GridDiagram, x: tuple[int, ...]) -> ChainEleme
     return out.reduced_mod2()
 
 
-def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label, variant: str = "right") -> int:
+def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
     """Sign of the empty rectangle with the given label out of x.
 
-    The sign is eps(r) times a cocycle value on the pair of x and the
-    transposition t = x^-1 y; three argument orders are kept side by side
-    because the order depends on the composition convention for words:
-
-    * ``right``: eps(r) * c(x, t) - matches right multiplication in the
-      double cover, hence reproduces the minus differential exactly;
-    * ``reversed``: eps(r) * c(t, x^-1) - the same construction with words
-      read in the opposite order; a genuine sign assignment, related to
-      ``right`` by a 1-coboundary but not equal to it;
-    * ``swapped``: eps(r) * c(t, x) - the bare argument swap under this
-      convention; fails the annulus axioms and is kept only so tests can
-      demonstrate that the argument order is not a free choice.
-
-    eps(r) is -1 exactly for horizontally torn rectangles.
+    The sign is eps(r) * c(x, t), a cocycle value on the pair of x and the
+    transposition t = x^-1 y; with this argument order it matches right
+    multiplication in the double cover, hence reproduces the minus
+    differential exactly.  eps(r) is -1 exactly for horizontally torn
+    rectangles.
     """
     x = tuple(x)
     n = G.n
@@ -139,33 +127,26 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label, variant: s
     h = (x[b] - x[a]) % n
     if any((x[c] - x[a]) % n < h for c in _grid.cyclic_span(a, b, n)[1:]):
         raise ValueError(f"rectangle {label} out of {x} is not empty")
-    return _rectangle_sign(x, label, variant)
+    return _rectangle_sign(x, label)
 
 
-def _rectangle_sign(x: tuple[int, ...], label: Label, variant: str) -> int:
+def _rectangle_sign(x: tuple[int, ...], label: Label) -> int:
     """``sign_assignment`` for a label already known to name an empty
     rectangle out of x."""
     a, b = label
     # x^-1 y is the plain transposition (a b)
     t_perm = list(range(len(x)))
     t_perm[a], t_perm[b] = b, a
-    t_perm = tuple(t_perm)
     eps = -1 if _grid.is_horizontally_torn(label) else 1
-    if variant == "right":
-        return eps * cocycle(x, t_perm)
-    if variant == "reversed":
-        return eps * cocycle(t_perm, inverse_perm(x))
-    if variant == "swapped":
-        return eps * cocycle(t_perm, x)
-    raise ValueError(f"unknown variant {variant!r}")
+    return eps * cocycle(x, tuple(t_perm))
 
 
-def differential_signed(G: GridDiagram, x: tuple[int, ...], variant: str = "right") -> ChainElement:
+def differential_signed(G: GridDiagram, x: tuple[int, ...]) -> ChainElement:
     """The sign-assignment form of the differential on plain generators."""
     x = tuple(x)
     out = ChainElement(G.n)
     for label, y, ocols, _ in _grid.empty_rectangles(G, x):
-        out.add(y, ocols, _rectangle_sign(x, label, variant))
+        out.add(y, ocols, _rectangle_sign(x, label))
     return out
 
 
@@ -229,9 +210,10 @@ class SignAxiomReport:
         return not self.violations
 
 
-def check_sign_axioms(table: tuple[list, list], variant: str = "right") -> SignAxiomReport:
+def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> SignAxiomReport:
     """Verify the square, vertical-annulus and horizontal-annulus axioms for
-    the signs of ``sign_assignment`` on every composable pair in the table.
+    the signs S(x, label) (by default those of ``sign_assignment``) on every
+    composable pair in the table.
 
     Composable pairs returning to their start are annuli (same ordered
     label twice: vertical; opposite labels: horizontal).  All other pairs
@@ -239,7 +221,7 @@ def check_sign_axioms(table: tuple[list, list], variant: str = "right") -> SignA
     of exactly two decompositions with opposite sign products.
     """
     gens, rects = table
-    signs = [[_rectangle_sign(x, r[0], variant) for r in rs] for x, rs in zip(gens, rects)]
+    signs = [[S(x, r[0]) for r in rs] for x, rs in zip(gens, rects)]
     violations: list[tuple] = []
     n_sq = n_v = n_h = 0
     for i, x in enumerate(gens):
@@ -281,9 +263,6 @@ class CoboundaryResult:
     @property
     def ok(self) -> bool:
         return self.gauge is not None
-
-
-SignFn = Callable[[tuple[int, ...], Label], int]
 
 
 def check_coboundary_equivalence(S1: SignFn, S2: SignFn, table: tuple[list, list]) -> CoboundaryResult:

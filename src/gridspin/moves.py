@@ -19,7 +19,6 @@ arbitrary move sequences.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -440,48 +439,3 @@ def _check_tilde_factor(t1, t2, G1, G2, comp_map) -> tuple[bool, int | None]:
         if _hom.equal_up_to_t_shift(small_p, quotient) is not None:
             return True, j + 1
     return False, None
-
-
-# ---------------------------------------------------------------------------
-# Random legal moves (seeded; used by the harness and the test suite)
-
-
-def legal_commutations(G: GridDiagram) -> list[MoveSpec]:
-    out = []
-    for i in range(G.n - 1):
-        try:
-            _commute_cols(G, i)
-            out.append(MoveSpec("commute_cols", index=i))
-        except MoveError:
-            pass
-        try:
-            _commute_rows(G, i)
-            out.append(MoveSpec("commute_rows", index=i))
-        except MoveError:
-            pass
-    return out
-
-
-def random_stabilization(G: GridDiagram, rng: random.Random) -> MoveSpec:
-    return MoveSpec(
-        "stabilize",
-        axis="row",
-        index=rng.randrange(G.n),
-        marker=rng.choice("XO"),
-        variant=rng.choice(VARIANTS),
-    )
-
-
-def random_move(G: GridDiagram, rng: random.Random, max_n: int = 7) -> MoveSpec:
-    kinds = ["cyclic"] * 4 + ["commute"] * 3
-    if G.n < max_n:
-        kinds += ["stabilize"] * 2
-    kind = rng.choice(kinds)
-    if kind == "cyclic":
-        return MoveSpec("cyclic", direction=rng.choice(("up", "down", "left", "right")))
-    if kind == "commute":
-        legal = legal_commutations(G)
-        if legal:
-            return rng.choice(legal)
-        return MoveSpec("cyclic", direction=rng.choice(("up", "down", "left", "right")))
-    return random_stabilization(G, rng)

@@ -34,10 +34,9 @@ preimage of k into place (factors with i_k = k are omitted).  A
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 Label = tuple[int, int]
 
@@ -230,15 +229,6 @@ def lift(n: int, label: Label) -> SpinElement:
     return SpinElement(perm, 1 if a > b else 0)
 
 
-def right_mul_transposition(g: SpinElement, label: Label) -> SpinElement:
-    """Normal form of g * t(a, b)."""
-    a, b = label
-    if not (0 <= a < g.n and 0 <= b < g.n and a != b):
-        raise ValueError(f"invalid label {label} for n={g.n}")
-    y, phi = _right_mul(g.perm, a, b)
-    return SpinElement(y, g.bit ^ phi)
-
-
 def multiply(g: SpinElement, h: SpinElement) -> SpinElement:
     """Group law, by folding h's canonical word into g from the right."""
     if g.n != h.n:
@@ -270,53 +260,10 @@ def cocycle(p: Sequence[int], q: Sequence[int]) -> int:
     return -1 if prod.bit else 1
 
 
-def conjugate_transposition(g: SpinElement, label: Label) -> tuple[int, Label]:
-    """Conjugation g * t(a,b) * g^-1 = z^flip * t(x(a), x(b)).
-
-    The flip is the signature of the underlying permutation; the central
-    bit of g cancels against itself.
-    """
-    a, b = label
-    if not (0 <= a < g.n and 0 <= b < g.n and a != b):
-        raise ValueError(f"invalid label {label} for n={g.n}")
-    return signature(g.perm), (g.perm[a], g.perm[b])
-
-
-# ---------------------------------------------------------------------------
-# Words
-
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A formal product of lifted transpositions times z^zexp."""
-
-    factors: tuple[Label, ...]
-    zexp: int = 0
-
-
-def evaluate_word(n: int, word: GeneratorWord | Iterable[Label], zexp: int = 0) -> SpinElement:
-    """Evaluate a word of labels left to right under the group law."""
-    if isinstance(word, GeneratorWord):
-        zexp ^= word.zexp
-        labels = word.factors
-    else:
-        labels = tuple(word)
-    g = SpinElement(identity(n), zexp & 1)
-    for label in labels:
-        g = right_mul_transposition(g, label)
-    return g
-
-
 def sigma_element(n: int) -> SpinElement:
     """The distinguished lift t(0,1)*t(1,2)*...*t(n-2,n-1) of the n-cycle."""
-    return evaluate_word(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(n))
-
-
-def all_spin_elements(n: int) -> Iterator[SpinElement]:
-    for perm in all_permutations(n):
-        yield SpinElement(perm, 0)
-        yield SpinElement(perm, 1)
+    perm, bit = identity(n), 0
+    for i in range(n - 1):
+        perm, phi = _right_mul(perm, i, i + 1)
+        bit ^= phi
+    return SpinElement(perm, bit)

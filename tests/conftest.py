@@ -71,6 +71,6 @@ def corpus_verdicts():
             if minus_mod2 != {k for k, v in parity.items() if v}:
                 out.mod2_mismatches.append((G, x))
             for label, y, mono, s in terms:
-                if _cx.sign_assignment(G, x, label, "right") != s:
+                if _cx.sign_assignment(G, x, label) != s:
                     out.signed_mismatches.append((G, x, label))
     return out

@@ -9,10 +9,13 @@ import math
 import random
 import time
 
+import oracle_clifford
 import oracle_mod2
 import oracle_rectangles
+import random_moves
+from oracle_signs import reversed_sign, swapped_sign
 
-from gridspin import clifford, complexes, grid, homology, moves, spin
+from gridspin import complexes, grid, homology, moves, spin
 
 
 def _report(num: int, name: str, t0: float, detail: str) -> None:
@@ -62,7 +65,7 @@ def test_criterion_01_spin_group_soundness():
     # cocycle condition: exhaustive for n = 3, 4
     triples = 0
     for n in (3, 4):
-        perms = list(spin.all_permutations(n))
+        perms = list(itertools.permutations(range(n)))
         c = {(p, q): spin.cocycle(p, q) for p in perms for q in perms}
         for x, y, w in itertools.product(perms, repeat=3):
             assert (
@@ -92,7 +95,10 @@ def test_criterion_01_spin_group_soundness():
     for _ in range(1000):
         n = rng.randint(2, 6)
         labels = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 10))]
-        assert spin.evaluate_word(n, labels).bit == clifford.clifford_oracle_bit(n, labels)
+        g = spin.spin_identity(n)
+        for label in labels:
+            g = spin.multiply(g, spin.lift(n, label))
+        assert g.bit == oracle_clifford.clifford_oracle_bit(n, labels)
 
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -133,31 +139,28 @@ def test_criterion_04_mod2_reduction(corpus_verdicts):
 
 def test_criterion_05_sign_formula_variants(corpus_verdicts):
     t0 = time.time()
-    # variant "right" reproduces the group-law differential on the corpus
+    # the program's sign formula reproduces the group-law differential on
+    # the corpus
     assert not corpus_verdicts.signed_mismatches, corpus_verdicts.signed_mismatches[:3]
 
-    # the reversed-word variant differs pointwise yet satisfies the axioms
+    # the reversed-word formula differs pointwise yet satisfies the axioms
     # and is gauge-equivalent; the bare argument swap fails the axioms
     differs = swapped_fails = False
     rng = random.Random(105)
     sample = list(grid.all_grids(3)) + [grid.random_grid(4, rng) for _ in range(30)]
     for G in sample:
         table = complexes.rectangle_table(G)
-        report = complexes.check_sign_axioms(table, "reversed")
+        report = complexes.check_sign_axioms(table, reversed_sign)
         assert report.ok, (G, report.violations[:3])
         res = complexes.check_coboundary_equivalence(
-            lambda x, l: complexes.sign_assignment(G, x, l, "right"),
-            lambda x, l: complexes.sign_assignment(G, x, l, "reversed"),
-            table,
+            lambda x, l: complexes.sign_assignment(G, x, l), reversed_sign, table
         )
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
             for label, y, _, _ in grid.empty_rectangles(G, x):
-                if complexes.sign_assignment(G, x, label, "right") != complexes.sign_assignment(
-                    G, x, label, "reversed"
-                ):
+                if complexes.sign_assignment(G, x, label) != reversed_sign(x, label):
                     differs = True
-        if not complexes.check_sign_axioms(table, "swapped").ok:
+        if not complexes.check_sign_axioms(table, swapped_sign).ok:
             swapped_fails = True
     assert differs  # the two compliant orders are genuinely different functions
     assert swapped_fails  # the naive swap is not a sign assignment
@@ -214,7 +217,7 @@ def test_criterion_08_invariance():
     while produced < 20:
         n = rng.randint(3, 5)
         G = grid.random_grid(n, rng)
-        legal = moves.legal_commutations(G)
+        legal = random_moves.legal_commutations(G)
         if not legal:
             continue  # the criterion wants one commutation per grid
         produced += 1
@@ -226,7 +229,7 @@ def test_criterion_08_invariance():
         rep = moves.invariance_report(G, moves.apply_move(G, mv))
         assert rep.hat_equal, (G, mv)
         checked["commutation"] += 1
-        mv = moves.random_stabilization(G, rng)
+        mv = random_moves.random_stabilization(G, rng)
         rep = moves.invariance_report(G, moves.apply_move(G, mv))
         assert rep.hat_equal and rep.tilde_factor_ok, (G, mv)
         checked["stabilization"] += 1
@@ -243,7 +246,7 @@ def test_criterion_09_explicit_chain_isomorphisms():
             grids += 1
             up = moves.apply_move(G, moves.MoveSpec("cyclic", direction="up"))
             right = moves.apply_move(G, moves.MoveSpec("cyclic", direction="right"))
-            elems = list(spin.all_spin_elements(n))
+            elems = [spin.SpinElement(p, bit) for p in itertools.permutations(range(n)) for bit in (0, 1)]
             assert len({moves.phi_cyclic_vertical(G, g) for g in elems}) == len(elems)
             assert len({moves.phi_cyclic_horizontal(G, g) for g in elems}) == len(elems)
             for which in ("vertical", "horizontal"):

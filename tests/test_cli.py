@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gridspin import cli, grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -176,6 +182,43 @@ def test_bad_move_script(grid_file, capsys, tmp_path):
     script.write_text("commute cols 0\n")  # interleaved on the 2x2 unknot
     code, _, err = run(capsys, "move", path, "--script", str(script), "-o", str(tmp_path / "x.grid"))
     assert code == 2 and "IllegalCommutation" in err
+
+
+def _move_in_locale(cwd, locale_env, script, output):
+    """Run ``gridspin move`` on the trefoil in a fresh interpreter with the
+    given locale settings; script and output may be bytes paths."""
+    dropped = ("PYTHONUTF8", "PYTHONCOERCECLOCALE", "PYTHONIOENCODING", "PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG")) and k not in dropped}
+    env.update(locale_env, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "gridspin.cli", "move", str(ROOT / "grids" / "trefoil5.grid")]
+    return subprocess.run([*argv, "--script", script, "-o", output], cwd=cwd, env=env, capture_output=True)
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_move_reads_and_writes_utf8_in_any_locale(tmp_path):
+    # a script is UTF-8 text like a grid file, whatever the locale says
+    (tmp_path / "cafe.txt").write_bytes("# café\ncyclic up\n".encode("utf-8"))
+    ascii_run = _move_in_locale(tmp_path, ASCII_LOCALE, "cafe.txt", "ascii.grid")
+    utf8_run = _move_in_locale(tmp_path, {"PYTHONUTF8": "1"}, "cafe.txt", "utf8.grid")
+    assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+    assert utf8_run.returncode == 0
+    assert (tmp_path / "ascii.grid").read_bytes() == (tmp_path / "utf8.grid").read_bytes()
+
+
+def test_move_with_unencodable_name_leaves_no_partial_file(tmp_path):
+    # under an ASCII locale the name arrives with surrogate escapes, which
+    # the UTF-8 comment line cannot hold
+    name = "é.txt".encode("utf-8")
+    (tmp_path / os.fsdecode(name)).write_bytes(b"cyclic up\n")
+    run = _move_in_locale(tmp_path, ASCII_LOCALE, name, "out.grid")
+    assert run.returncode in (0, 2) and b"Traceback" not in run.stderr
+    if run.returncode == 2:
+        assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+        assert not (tmp_path / "out.grid").exists()
+    else:
+        assert grid.parse_grid_text((tmp_path / "out.grid").read_text(encoding="utf-8")).n == 5
 
 
 def _unknot(n):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracle_rectangles as rects
+from oracle_signs import reversed_sign, swapped_sign
 from gridspin import grid, spin
 from gridspin.complexes import (
     ChainElement,
@@ -26,7 +27,6 @@ def test_chain_element_bookkeeping():
     assert c.is_zero()
     c.add((1, 0), (1, 0), 3)
     assert list(c) == [((1, 0), (1, 0), 3)]
-    assert c.scaled(-1).terms == {(1, 0): {(1, 0): -3}}
     assert c.reduced_mod2().terms == {(1, 0): {(1, 0): 1}}
 
 
@@ -130,7 +130,7 @@ def test_graded_d_squared_zero_all_n3():
 def test_signed_right_equals_minus_n3():
     for G in grid.all_grids(3):
         for x in itertools.permutations(range(3)):
-            assert differential_signed(G, x, "right") == differential_minus(G, spin.section(x))
+            assert differential_signed(G, x) == differential_minus(G, spin.section(x))
 
 
 def test_mod2_reduction_matches_unsigned_n3():
@@ -162,10 +162,10 @@ def test_sign_axioms_unknot_products():
     assert s((0, 1), (0, 1)) * s((1, 0), (1, 0)) == 1  # horizontal
 
 
-@pytest.mark.parametrize("variant", ["right", "reversed"])
-def test_sign_axioms_all_n3(variant):
+@pytest.mark.parametrize("sign", [{}, {"S": reversed_sign}], ids=["right", "reversed"])
+def test_sign_axioms_all_n3(sign):
     for G in grid.all_grids(3):
-        report = check_sign_axioms(rectangle_table(G), variant)
+        report = check_sign_axioms(rectangle_table(G), **sign)
         assert report.ok, (G, report.violations[:3])
 
 
@@ -175,14 +175,15 @@ def test_sign_axioms_all_n3(variant):
     ids=["hopf4", "trefoil5"],
 )
 def test_sign_axiom_counts_pinned(G, counts, swapped):
-    # (square, vertical, horizontal) counts and the swapped variant's
+    # (square, vertical, horizontal) counts and the swapped formula's
     # violations, as recorded with the per-cell support bookkeeping
     table = rectangle_table(G)
-    for variant in ("right", "reversed"):
-        report = check_sign_axioms(table, variant)
+    # the default signs are those of sign_assignment
+    assert check_sign_axioms(table) == check_sign_axioms(table, lambda x, l: sign_assignment(G, x, l))
+    for report in (check_sign_axioms(table), check_sign_axioms(table, reversed_sign)):
         assert report.ok
         assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
-    report = check_sign_axioms(table, "swapped")
+    report = check_sign_axioms(table, swapped_sign)
     assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
     assert len(report.violations) == swapped
     assert {kind for kind, *_ in report.violations} == {"H", "Sq", "V"}
@@ -192,7 +193,7 @@ def test_swapped_variant_fails_annulus_axioms():
     # the bare argument swap is not a sign assignment: it violates the
     # annulus axioms already on a 3x3 grid
     G = GridDiagram(3, (0, 1, 2), (1, 2, 0))
-    report = check_sign_axioms(rectangle_table(G), "swapped")
+    report = check_sign_axioms(rectangle_table(G), swapped_sign)
     assert not report.ok
     assert any(kind in ("V", "H") for kind, *_ in report.violations)
 
@@ -226,9 +227,8 @@ def test_coboundary_recovers_maslov_twist():
 
 def test_coboundary_right_vs_reversed_n3():
     for G in grid.all_grids(3):
-        S1 = lambda x, l: sign_assignment(G, x, l, "right")
-        S2 = lambda x, l: sign_assignment(G, x, l, "reversed")
-        res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
+        S1 = lambda x, l: sign_assignment(G, x, l)
+        res = check_coboundary_equivalence(S1, reversed_sign, rectangle_table(G))
         assert res.ok
 
 

@@ -1,25 +1,28 @@
+import ast
 import doctest
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridspin import clifford, spin
+import oracle_clifford
+from gridspin import spin
 from gridspin.spin import (
-    GeneratorWord,
     SpinElement,
+    _right_mul,
     canonical_word,
     cocycle,
     compose,
-    conjugate_transposition,
-    evaluate_word,
     inverse,
     lift,
     multiply,
-    right_mul_transposition,
     section,
     sigma_element,
     signature,
@@ -30,6 +33,19 @@ from gridspin.spin import (
 
 def perms(n):
     return st.permutations(range(n)).map(tuple)
+
+
+def fold_lifts(n, labels):
+    """t(labels[0]) * ... * t(labels[-1]) by the group law on lifts."""
+    g = spin_identity(n)
+    for label in labels:
+        g = multiply(g, lift(n, label))
+    return g
+
+
+def conjugate(g, label):
+    """g * t(label) * g^-1."""
+    return multiply(multiply(g, lift(g.n, label)), inverse(g))
 
 
 def test_docstring_examples():
@@ -85,11 +101,14 @@ def test_section_projects_back():
 
 
 def test_right_mul_examples():
-    assert right_mul_transposition(spin_identity(2), (0, 1)) == SpinElement((1, 0), 0)
-    assert right_mul_transposition(section((1, 0)), (0, 1)) == SpinElement((0, 1), 1)
-    assert right_mul_transposition(section((1, 0)), (1, 0)) == SpinElement((0, 1), 0)
+    # s(x) * t(a, b) = z^bit * s(x (a b)); a descending label costs one z
+    assert _right_mul((0, 1), 0, 1) == ((1, 0), 0)
+    assert _right_mul((1, 0), 0, 1) == ((0, 1), 1)
+    assert _right_mul((1, 0), 1, 0) == ((0, 1), 0)
+    assert multiply(section((1, 0)), lift(2, (0, 1))) == SpinElement((0, 1), 1)
+    assert multiply(section((1, 0)), lift(2, (1, 0))) == SpinElement((0, 1), 0)
     with pytest.raises(ValueError):
-        right_mul_transposition(spin_identity(2), (0, 2))
+        lift(2, (0, 2))
 
 
 def test_multiply_examples():
@@ -152,21 +171,21 @@ def test_cocycle_condition_exhaustive_n3():
 
 
 def test_conjugation_examples():
-    g = spin_identity(4)
-    assert conjugate_transposition(g, (1, 2)) == (0, (1, 2))
-    assert conjugate_transposition(lift(4, (0, 1)), (2, 3)) == (1, (2, 3))
-    cyc = section((1, 2, 0))
-    assert conjugate_transposition(cyc, (0, 2)) == (0, (1, 0))
+    assert conjugate(spin_identity(4), (1, 2)) == lift(4, (1, 2))
+    assert conjugate(lift(4, (0, 1)), (2, 3)) == multiply(central(4), lift(4, (2, 3)))
+    assert conjugate(section((1, 2, 0)), (0, 2)) == lift(3, (1, 0))
 
 
 def test_conjugation_rule_exhaustive_n3():
+    # g * t(a, b) * g^-1 = z^sgn(g) * t(g(a), g(b)): the central bit of g
+    # cancels against itself
     labels = [(a, b) for a in range(3) for b in range(3) if a != b]
-    for g in spin.all_spin_elements(3):
-        for lab in labels:
-            flip, new = conjugate_transposition(g, lab)
-            direct = multiply(multiply(g, lift(3, lab)), inverse(g))
-            expected = lift(3, new)
-            assert direct == SpinElement(expected.perm, expected.bit ^ flip)
+    for perm in itertools.permutations(range(3)):
+        for bit in (0, 1):
+            g = SpinElement(perm, bit)
+            for a, b in labels:
+                expected = lift(3, (perm[a], perm[b]))
+                assert conjugate(g, (a, b)) == SpinElement(expected.perm, expected.bit ^ signature(perm))
 
 
 def test_group_closure_order_n3():
@@ -209,20 +228,21 @@ def test_quaternion_subgroup():
     assert max(orders) == 4
 
 
-def test_evaluate_word_and_generator_word():
-    assert evaluate_word(3, []) == spin_identity(3)
-    assert evaluate_word(3, [(0, 1), (0, 1)]) == central(3)
-    w = GeneratorWord(((0, 1), (1, 2)), zexp=1)
-    assert evaluate_word(3, w) == SpinElement((1, 2, 0), 1)
-    # evaluation agrees with folding multiply over lifts
+def test_word_fold_matches_multiply():
+    assert fold_lifts(3, []) == spin_identity(3)
+    assert fold_lifts(3, [(0, 1), (0, 1)]) == central(3)
+    assert multiply(central(3), fold_lifts(3, [(0, 1), (1, 2)])) == SpinElement((1, 2, 0), 1)
+    # folding _right_mul over the labels agrees with folding multiply over
+    # lifts, descending labels included
     rng = random.Random(9)
     for _ in range(50):
         n = rng.randint(2, 5)
         labels = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 8))]
-        g = spin_identity(n)
-        for lab in labels:
-            g = multiply(g, lift(n, lab))
-        assert evaluate_word(n, labels) == g
+        perm, bit = spin.identity(n), 0
+        for a, b in labels:
+            perm, phi = _right_mul(perm, a, b)
+            bit ^= phi
+        assert SpinElement(perm, bit) == fold_lifts(n, labels)
 
 
 def test_sigma_element():
@@ -230,16 +250,17 @@ def test_sigma_element():
         s = sigma_element(n)
         assert s.perm == tuple((k + 1) % n for k in range(n))
         assert s.bit == 0
+        assert s == fold_lifts(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def test_clifford_oracle_examples():
-    assert clifford.clifford_oracle_bit(3, []) == 0
-    assert clifford.clifford_oracle_bit(3, [(0, 1), (0, 1)]) == 1
-    a = clifford.word_multivector([(0, 1), (2, 3)])
-    b = clifford.word_multivector([(2, 3), (0, 1)])
+    assert oracle_clifford.clifford_oracle_bit(3, []) == 0
+    assert oracle_clifford.clifford_oracle_bit(3, [(0, 1), (0, 1)]) == 1
+    a = oracle_clifford.word_multivector([(0, 1), (2, 3)])
+    b = oracle_clifford.word_multivector([(2, 3), (0, 1)])
     assert a == {blade: -c for blade, c in b.items()}
-    with pytest.raises(clifford.CliffordOverflow):
-        clifford.clifford_oracle_bit(9, [(0, 1)])
+    with pytest.raises(oracle_clifford.CliffordOverflow):
+        oracle_clifford.clifford_oracle_bit(9, [(0, 1)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,4 +274,23 @@ def test_clifford_oracle_examples():
 )
 def test_clifford_oracle_agrees_with_rewriting(labels):
     n = 1 + max((max(a, b) for a, b in labels), default=1)
-    assert evaluate_word(n, labels).bit == clifford.clifford_oracle_bit(n, labels)
+    assert fold_lifts(n, labels).bit == oracle_clifford.clifford_oracle_bit(n, labels)
+
+
+def test_clifford_oracle_imports_nothing_from_gridspin():
+    tree = ast.parse(Path(oracle_clifford.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.split(".")[0] == "gridspin"]
+
+
+def test_package_loads_no_oracle():
+    src = Path(spin.__file__).resolve().parent.parent
+    code = (
+        "import sys, gridspin, gridspin.cli; "
+        "print([m for m in sys.modules if 'clifford' in m or m.rsplit('.', 1)[-1].startswith('oracle_')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
