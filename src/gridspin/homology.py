@@ -3,9 +3,9 @@
 Generators split by (Maslov, Alexander) bigrading and the marker-free
 differential maps each piece to the piece one Maslov degree down.  Free
 ranks and torsion come from Smith normal forms of the incoming and
-outgoing boundary matrices over Z; everything downstream (Poincare and
-Euler polynomials, the hat reduction, the Alexander polynomial) is exact
-Laurent-polynomial arithmetic.
+outgoing boundary matrices over Z.  The hat reduction peels the free
+factor of each extra grid row off the bigraded ranks, and the Poincare,
+Euler and Alexander polynomials are exact Laurent polynomials.
 
 Alexander exponents are half-integers in general, so t-exponents are
 stored doubled throughout; q-exponents (Maslov) stay plain integers.
@@ -43,43 +43,11 @@ class Laurent:
     def from_dict(cls, nvars: int, d: dict[Exponent, int]) -> "Laurent":
         return cls(nvars, tuple(sorted((e, c) for e, c in d.items() if c)))
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Laurent":
-        return cls(nvars, ())
-
-    @classmethod
-    def one(cls, nvars: int) -> "Laurent":
-        return cls.from_dict(nvars, {(0, (0,) * nvars): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, q: int, t2: Sequence[int], coeff: int = 1) -> "Laurent":
-        return cls.from_dict(nvars, {(q, tuple(t2)): coeff})
-
-    def as_dict(self) -> dict[Exponent, int]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Laurent") -> "Laurent":
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return Laurent.from_dict(self.nvars, d)
-
     def __neg__(self) -> "Laurent":
         return Laurent(self.nvars, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        d: dict[Exponent, int] = {}
-        for (q1, t1), c1 in self.terms:
-            for (q2, t2), c2 in other.terms:
-                e = (q1 + q2, tuple(a + b for a, b in zip(t1, t2)))
-                d[e] = d.get(e, 0) + c1 * c2
-        return Laurent.from_dict(self.nvars, d)
 
     def at_q_minus_one(self) -> "Laurent":
         """Specialise q to -1 (the Euler characteristic)."""
@@ -89,8 +57,7 @@ class Laurent:
             d[e] = d.get(e, 0) + (-c if q % 2 else c)
         return Laurent.from_dict(self.nvars, d)
 
-    def shifted(self, dq: int = 0, dt2: Sequence[int] | None = None) -> "Laurent":
-        dt2 = tuple(dt2) if dt2 is not None else (0,) * self.nvars
+    def shifted(self, dq: int, dt2: Sequence[int]) -> "Laurent":
         return Laurent(
             self.nvars,
             tuple(
@@ -103,50 +70,6 @@ class Laurent:
         """Substitute every t_i by its inverse."""
         return Laurent.from_dict(
             self.nvars, {(q, tuple(-a for a in t2)): c for (q, t2), c in self.terms}
-        )
-
-    def divide_exact(self, divisor: "Laurent") -> "Laurent":
-        """Exact division; raises NotDivisible when a remainder survives.
-
-        Both operands are shifted into non-negative exponents, divided by
-        repeated leading-term elimination under lexicographic order, and
-        the quotient shifted back.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Laurent.zero(self.nvars)
-
-        def mins(p: Laurent) -> tuple[int, tuple[int, ...]]:
-            qs = [q for (q, _), _ in p.terms]
-            ts = [min(t2[i] for (_, t2), _ in p.terms) for i in range(p.nvars)]
-            return min(qs), tuple(ts)
-
-        fq, ft = mins(self)
-        gq, gt = mins(divisor)
-        f = self.shifted(-fq, tuple(-a for a in ft)).as_dict()
-        g = divisor.shifted(-gq, tuple(-a for a in gt)).as_dict()
-        glead = max(g)
-        gc = g[glead]
-        quotient: dict[Exponent, int] = {}
-        while f:
-            flead = max(f)
-            fc = f[flead]
-            dq = flead[0] - glead[0]
-            dt = tuple(a - b for a, b in zip(flead[1], glead[1]))
-            if dq < 0 or any(a < 0 for a in dt) or fc % gc:
-                raise NotDivisible(f"remainder with leading term {flead}: {fc}")
-            qc = fc // gc
-            quotient[(dq, dt)] = qc
-            for (eq, et), c in g.items():
-                key = (eq + dq, tuple(a + b for a, b in zip(et, dt)))
-                nc = f.get(key, 0) - qc * c
-                if nc:
-                    f[key] = nc
-                elif key in f:
-                    del f[key]
-        return Laurent.from_dict(self.nvars, quotient).shifted(
-            fq - gq, tuple(a - b for a, b in zip(ft, gt))
         )
 
     def __str__(self) -> str:
@@ -495,39 +418,50 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
     )
 
 
-def hat_factor(l: int, j: int) -> Laurent:
-    """(1 + q^-1 t_j^-1) in l t-variables: the Poincare polynomial of the
-    rank-two factor each extra row of component j adds to the tilde
-    homology."""
-    t2 = [0] * l
-    t2[j] = -2
-    return Laurent.one(l) + Laurent.monomial(l, -1, t2)
+def divide_hat_factor(ranks: dict[Exponent, int], j: int) -> dict[Exponent, int]:
+    """Quotient of a {(q, t2): rank} table by (1 + q^-1 t_j^-1), the
+    Poincare polynomial of the free factor V_j that each extra row of
+    component j adds to the tilde homology.
+
+    Peels from the top: the lexicographically largest bigrading left holds
+    a quotient rank c, and c is taken off one step down, at (q - 1, t_j - 1).
+    A negative value raises NotDivisible.  A table without the factor
+    always ends in one, at the bottom of some line, so the walk stops."""
+    left = {e: c for e, c in ranks.items() if c}
+    quotient: dict[Exponent, int] = {}
+    while left:
+        e = max(left)
+        c = left.pop(e)
+        if c < 0:
+            raise NotDivisible(f"negative remainder {c} at {e}")
+        quotient[e] = c
+        q, t2 = e
+        below = (q - 1, t2[:j] + (t2[j] - 2,) + t2[j + 1 :])
+        rest = left.pop(below, 0) - c
+        if rest:
+            left[below] = rest
+    return quotient
 
 
 def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySummary:
-    """Divide the Poincare polynomial by (1 + q^-1 t_i^-1)^(n_i - 1) per
-    component; a remainder or negative quotient coefficient signals an
-    upstream bug and raises NotDivisible."""
+    """Peel the factor V_i off the tilde ranks n_i - 1 times per component;
+    a negative rank on the way signals an upstream bug and raises
+    NotDivisible."""
     if H.flavor != "tilde":
         raise ValueError("hat reduction applies to tilde summaries")
     if H.has_torsion:
         raise NotDivisible("tilde homology has torsion; hat ranks are undefined here")
     l = components.l
-    quotient = H.poincare
+    ranks = dict(H.poincare.terms)
     for j in range(l):
-        factor = hat_factor(l, j)
         for _ in range(components.n_i[j] - 1):
-            quotient = quotient.divide_exact(factor)
-    pieces = []
-    for (q, t2), c in sorted(quotient.terms):
-        if c < 0:
-            raise NotDivisible("negative rank in hat quotient")
-        pieces.append((Bigrading(q, t2), c, ()))
+            ranks = divide_hat_factor(ranks, j)
+    quotient = Laurent.from_dict(l, ranks)
     return HomologySummary(
         flavor="hat",
         l=l,
         n_i=components.n_i,
-        pieces=tuple(pieces),
+        pieces=tuple((Bigrading(q, t2), c, ()) for (q, t2), c in quotient.terms),
         poincare=quotient,
         euler=quotient.at_q_minus_one(),
     )

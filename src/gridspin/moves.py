@@ -49,19 +49,6 @@ class MoveSpec:
     variant: str | None = None  # stabilize: NW/NE/SW/SE
     position: tuple[int, int] | None = None  # destabilize: block SW corner
 
-    def __str__(self) -> str:
-        if self.kind == "cyclic":
-            return f"cyclic {self.direction}"
-        if self.kind == "commute_cols":
-            return f"commute cols {self.index}"
-        if self.kind == "commute_rows":
-            return f"commute rows {self.index}"
-        if self.kind == "stabilize":
-            return f"stabilize {self.axis} {self.index} {self.marker}{self.variant}"
-        if self.kind == "destabilize":
-            return f"destabilize {self.position[0]} {self.position[1]}"
-        raise ValueError(self.kind)
-
 
 def parse_move(line: str) -> MoveSpec:
     words = line.split("#", 1)[0].split()
@@ -392,10 +379,11 @@ def _match_up_to_shift(p1: Laurent, p2: Laurent, l: int) -> tuple[tuple[int, ...
     """Search component relabelings and per-component shifts making p2
     equal to p1; returns (component_map, doubled shifts) or None."""
     for perm in itertools.permutations(range(l)):
+        # hat1 variable perm[i] carries hat2 variable i
         candidate = _permute_t(p2, list(perm))
         shift = _hom.equal_up_to_t_shift(p1, candidate)
         if shift is not None:
-            return tuple(perm), shift
+            return tuple(perm.index(i) for i in range(l)), shift
     return None
 
 
@@ -433,9 +421,9 @@ def _check_tilde_factor(t1, t2, G1, G2, comp_map) -> tuple[bool, int | None]:
     small_p = _permute_t(small.poincare, mapping)
     for j in candidates:
         try:
-            quotient = big.poincare.divide_exact(_hom.hat_factor(small.poincare.nvars, mapping[j]))
+            quotient = _hom.divide_hat_factor(dict(big.poincare.terms), mapping[j])
         except _hom.NotDivisible:
             continue
-        if _hom.equal_up_to_t_shift(small_p, quotient) is not None:
+        if _hom.equal_up_to_t_shift(small_p, Laurent.from_dict(small_p.nvars, quotient)) is not None:
             return True, j + 1
     return False, None

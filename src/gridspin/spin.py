@@ -196,16 +196,6 @@ class SpinElement:
     def n(self) -> int:
         return len(self.perm)
 
-    def __mul__(self, other: "SpinElement") -> "SpinElement":
-        return multiply(self, other)
-
-    def inv(self) -> "SpinElement":
-        return inverse(self)
-
-    def sign(self) -> int:
-        """The central bit as a sign, z mapped to -1."""
-        return -1 if self.bit else 1
-
 
 def section(perm: Sequence[int]) -> SpinElement:
     """The set-theoretic section s: bit 0 on every permutation."""

@@ -140,6 +140,22 @@ def test_homology_tilde_text(grid_file, capsys):
     assert "poincare: 1 + q^-1*t^-1" in out
 
 
+def test_hat_without_the_factor_exits_one(grid_file, capsys, monkeypatch):
+    # a torsion-free tilde summary lacking the factor 1 + q^-1 t^-1 that
+    # the second row of the unknot predicts: the peel fails with one line
+    from gridspin import homology
+    from gridspin.homology import Bigrading, HomologySummary, Laurent
+
+    p = Laurent.from_dict(1, {(0, (0,)): 1})
+    summary = HomologySummary("tilde", 1, (2,), ((Bigrading(0, (0,)), 1, ()),), p, p)
+    monkeypatch.setattr(homology, "bigraded_homology", lambda G: summary)
+    path = grid_file("u.grid", grid.unknot2())
+    code, out, err = run(capsys, "homology", path, "--flavor", "hat")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NotDivisible: ")
+
+
 def test_alexander(grid_file, capsys):
     path = grid_file("t.grid", grid.trefoil5())
     code, out, _ = run(capsys, "alexander", path)
@@ -158,6 +174,20 @@ def test_move_and_invariance(grid_file, capsys, tmp_path):
     code, out, _ = run(capsys, "invariance", path, str(out_path))
     assert code == 0
     assert "hat polynomials equal: True" in out
+
+
+def test_invariance_matches_three_components_across_a_stabilization(grid_file, capsys, tmp_path):
+    # the component map runs from hat1 to hat2; here it is the 3-cycle of
+    # the cyclic move, and the stabilized component is found through it
+    path = grid_file("g.grid", None, "n 6\nO 0 1 5 4 2 3\nX 3 4 2 1 5 0\n")
+    script = tmp_path / "moves.txt"
+    script.write_text("stabilize row 5 XSE\ncyclic left\n")
+    moved = str(tmp_path / "moved.grid")
+    assert run(capsys, "move", path, "--script", str(script), "-o", moved)[0] == 0
+    code, out, _ = run(capsys, "invariance", path, moved)
+    assert code == 0
+    assert "component matching: [2, 0, 1]" in out.splitlines()
+    assert "stabilization tilde factor: True" in out.splitlines()
 
 
 def test_invariance_failure_exit_code(grid_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 import random_moves
 from gridspin import complexes, grid, moves, spin
 from gridspin.grid import GridDiagram
+from gridspin.homology import Laurent
 from gridspin.moves import (
     MoveError,
     MoveSpec,
@@ -183,6 +184,38 @@ def test_invariance_renumbered_components():
     H = apply_move(apply_move(G, MoveSpec("cyclic", direction="left")), MoveSpec("cyclic", direction="left"))
     rep = invariance_report(G, H)
     assert rep.hat_equal
+
+
+# 3-component grids from seeded n = 6 draws whose cyclic move in the given
+# direction renumbers the components by a 3-cycle.  Where hat1 has
+# symmetries several matchings fit and the first one found is reported; on
+# these grids it is the move's own renumbering.
+THREE_COMPONENT_CYCLES = [
+    ((1, 0, 5, 4, 2, 3), (5, 2, 1, 3, 0, 4), "right"),
+    ((1, 5, 0, 4, 3, 2), (4, 2, 3, 1, 0, 5), "left"),
+    ((0, 2, 3, 5, 1, 4), (4, 5, 1, 2, 3, 0), "left"),
+]
+
+
+@pytest.mark.parametrize("o_rows, x_rows, direction", THREE_COMPONENT_CYCLES)
+def test_invariance_component_map_runs_from_hat1_to_hat2(o_rows, x_rows, direction):
+    G = GridDiagram(6, o_rows, x_rows)
+    assert G.components.l == 3
+    for d in ("up", "down", "left", "right"):
+        rep = invariance_report(G, apply_move(G, MoveSpec("cyclic", direction=d)))
+        assert rep.ok
+        # hat1's t_i renamed t_(component_map[i]), then shifted, is hat2
+        relabelled = {}
+        for (q, t2), c in rep.hat1.poincare.terms:
+            t = [0] * 3
+            for i, a in enumerate(t2):
+                t[rep.component_map[i]] = a + rep.alexander2_shifts[i]
+            relabelled[(q, tuple(t))] = c
+        assert Laurent.from_dict(3, relabelled) == rep.hat2.poincare
+        if d == direction:
+            cmap = moves.cyclic_component_map(G, d)
+            assert rep.component_map == tuple(cmap[i + 1] - 1 for i in range(3))
+            assert rep.component_map[rep.component_map[0]] != 0  # not an involution
 
 
 def test_apply_script_roundtrip():
