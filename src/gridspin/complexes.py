@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 from . import grid as _grid
 from .grid import GridDiagram
-from .spin import Label, SpinElement, _right_mul, cocycle
+from .spin import Label, SpinElement, _right_mul, _transposition_cocycle, is_permutation
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -108,6 +108,14 @@ def unsigned_differential_mod2(G: GridDiagram, x: tuple[int, ...]) -> ChainEleme
     return out.reduced_mod2()
 
 
+def _generator(G: GridDiagram, x) -> tuple[int, ...]:
+    """x as a tuple, after checking that it is a generator of G."""
+    x = tuple(x)
+    if len(x) != G.n or not is_permutation(x):
+        raise ValueError(f"{x} is not a generator of a grid of size {G.n}")
+    return x
+
+
 def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
     """Sign of the empty rectangle with the given label out of x.
 
@@ -115,9 +123,10 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
     transposition t = x^-1 y; with this argument order it matches right
     multiplication in the double cover, hence reproduces the minus
     differential exactly.  eps(r) is -1 exactly for horizontally torn
-    rectangles.
+    rectangles.  Raises ValueError unless x is a generator of G and the
+    label names an empty rectangle out of it.
     """
-    x = tuple(x)
+    x = _generator(G, x)
     n = G.n
     a, b = label
     if not (0 <= a < n and 0 <= b < n and a != b):
@@ -132,18 +141,15 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
 
 def _rectangle_sign(x: tuple[int, ...], label: Label) -> int:
     """``sign_assignment`` for a label already known to name an empty
-    rectangle out of x."""
-    a, b = label
+    rectangle out of the generator x."""
     # x^-1 y is the plain transposition (a b)
-    t_perm = list(range(len(x)))
-    t_perm[a], t_perm[b] = b, a
     eps = -1 if _grid.is_horizontally_torn(label) else 1
-    return eps * cocycle(x, tuple(t_perm))
+    return eps * _transposition_cocycle(x, *label)
 
 
 def differential_signed(G: GridDiagram, x: tuple[int, ...]) -> ChainElement:
     """The sign-assignment form of the differential on plain generators."""
-    x = tuple(x)
+    x = _generator(G, x)
     out = ChainElement(G.n)
     for label, y, ocols, _ in _grid.empty_rectangles(G, x):
         out.add(y, ocols, _rectangle_sign(x, label))
@@ -243,7 +249,12 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> 
                     continue
                 # each rectangle covers a cell at most once, so union and
                 # intersection fix the multiset of cells of the domain
-                domains.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, s1 * s2))
+                key = (w, m1 | m2, m1 & m2)
+                decomps = domains.get(key)
+                if decomps is None:
+                    domains[key] = [(l1, l2, s1 * s2)]
+                else:
+                    decomps.append((l1, l2, s1 * s2))
         for (w, _, _), decomps in domains.items():
             if len(decomps) != 2:
                 violations.append(("Sq-count", x, gens[w], decomps))

@@ -250,6 +250,20 @@ def cocycle(p: Sequence[int], q: Sequence[int]) -> int:
     return -1 if prod.bit else 1
 
 
+def _transposition_cocycle(perm: tuple[int, ...], a: int, b: int) -> int:
+    """c(perm, (a b)) in one normal-form step, without checks.
+
+    The canonical word of a transposition is its single factor
+    (min, max), so s((a b)) = t(min, max) and s(perm) * s((a b)) is one
+    right multiplication: c(perm, (a b)) = (-1)^phi for
+    _right_mul(perm, min, max) = (perm * (a b), phi).  perm must be a
+    permutation and a != b indices of it.
+    """
+    if a > b:
+        a, b = b, a
+    return -1 if _right_mul(perm, a, b)[1] else 1
+
+
 def sigma_element(n: int) -> SpinElement:
     """The distinguished lift t(0,1)*t(1,2)*...*t(n-2,n-1) of the n-cycle."""
     perm, bit = identity(n), 0

@@ -103,6 +103,28 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
     assert lines[1:] == ["signs: pass (square 5400, vertical 600, horizontal 600)", "mod2: pass"]
 
 
+def test_check_reports_a_flipped_cocycle_sign(grid_file, capsys, monkeypatch):
+    # the mirror case: one rectangle's cocycle sign flipped fails the sign
+    # axioms only, so the signs suite reads its own cocycle, not the
+    # group-law bits of the table that d2 and mod2 read
+    from gridspin import complexes, spin
+
+    x0, label0 = (1, 0, 2, 3, 4), (0, 1)
+    cocycle = spin._transposition_cocycle
+
+    def flipped(x, a, b):
+        c = cocycle(x, a, b)
+        return -c if (tuple(x), (a, b)) == (x0, label0) else c
+
+    monkeypatch.setattr(complexes, "_transposition_cocycle", flipped)
+    path = grid_file("t.grid", grid.trefoil5())
+    code, out, _ = run(capsys, "check", path)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0] == "d2: pass" and lines[2] == "mod2: pass"
+    assert lines[1].startswith("signs: FAIL (first violation (") and lines[1].endswith(")")
+
+
 def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
     calls = []
     scan = grid.empty_rectangles

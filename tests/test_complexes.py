@@ -1,10 +1,12 @@
 import itertools
+import random
+import re
 
 import pytest
 
 import oracle_rectangles as rects
 from oracle_signs import reversed_sign, swapped_sign
-from gridspin import grid, spin
+from gridspin import complexes, grid, spin
 from gridspin.complexes import (
     ChainElement,
     check_coboundary_equivalence,
@@ -52,6 +54,30 @@ def test_unknot_sign_values():
     for label in ((0, 0), (1, 1), (0, 2), (-1, 0), (2, 1)):
         with pytest.raises(ValueError):
             sign_assignment(G, (0, 1), label)
+
+
+def test_signs_refuse_non_generators():
+    G = grid.trefoil5()
+    for x in ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            sign_assignment(G, x, (0, 1))
+        with pytest.raises(ValueError, match=re.escape(str(x))):
+            differential_signed(G, x)
+    # a list is accepted and read as the tuple
+    assert differential_signed(G, [1, 0, 2, 3, 4]) == differential_signed(G, (1, 0, 2, 3, 4))
+
+
+def test_rectangle_sign_is_the_cocycle_formula():
+    # the one-step sign against eps(r) * c(x, t) by the generic group law
+    rng = random.Random(1005)
+    grids = [*grid.all_grids(2), *grid.all_grids(3), *grid.all_grids(4)]
+    grids += [grid.random_grid(5, rng) for _ in range(3)]
+    for G in grids:
+        for x in itertools.permutations(range(G.n)):
+            for label, *_ in grid.empty_rectangles(G, x):
+                eps = -1 if grid.is_horizontally_torn(label) else 1
+                want = eps * spin.cocycle(x, spin.transposition(G.n, *label))
+                assert complexes._rectangle_sign(x, label) == want, (G, x, label)
 
 
 def test_unknot_graded_differential_vanishes():

@@ -163,6 +163,20 @@ def test_cocycle_values():
     assert cocycle(t23, t01) == -1
 
 
+def test_transposition_cocycle_matches_cocycle():
+    # the one-step value equals the generic formula on every ordered pair
+    for n in range(2, 6):
+        for x in itertools.permutations(range(n)):
+            for a, b in itertools.permutations(range(n), 2):
+                assert spin._transposition_cocycle(x, a, b) == cocycle(x, spin.transposition(n, a, b)), (x, a, b)
+
+
+def test_cocycle_keeps_its_permutation_checks():
+    for p, q in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((0, 2), (0, 1))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cocycle(p, q)
+
+
 def test_cocycle_condition_exhaustive_n3():
     perms3 = list(itertools.permutations(range(3)))
     c = {(p, q): cocycle(p, q) for p in perms3 for q in perms3}
