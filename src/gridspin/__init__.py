@@ -34,7 +34,6 @@ from .grid import (
 from .homology import (
     Bigrading,
     HomologySummary,
-    IntegerMatrix,
     Laurent,
     NotDivisible,
     SmithForm,

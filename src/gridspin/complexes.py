@@ -85,7 +85,7 @@ def differential_minus(G: GridDiagram, g: SpinElement) -> ChainElement:
     out = ChainElement(G.n)
     outer = -1 if g.bit else 1
     for label, y, ocols, _ in _grid.empty_rectangles(G, g.perm):
-        out.add(y, ocols, -outer if _right_mul(g.perm, *label)[1] else outer)
+        out.add(y, ocols, -outer if _right_mul(g.perm, *label) else outer)
     return out
 
 
@@ -96,7 +96,7 @@ def graded_differential(G: GridDiagram, g: SpinElement) -> ChainElement:
     outer = -1 if g.bit else 1
     unit = (0,) * G.n
     for label, y in _grid.empty_rectangles(G, g.perm, marker_free=True):
-        out.add(y, unit, -outer if _right_mul(g.perm, *label)[1] else outer)
+        out.add(y, unit, -outer if _right_mul(g.perm, *label) else outer)
     return out
 
 
@@ -175,7 +175,7 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     pack = functools.cache(lambda ocols: sum(k << 2 * c for c, k in enumerate(ocols)))
     rects = [
         [
-            (shared.setdefault(label, label), index[y], _right_mul(x, *label)[1], pack(ocols),
+            (shared.setdefault(label, label), index[y], _right_mul(x, *label), pack(ocols),
              shared.setdefault(cells, cells))
             for label, y, ocols, cells in _grid.empty_rectangles(G, x)
         ]

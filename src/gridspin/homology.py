@@ -1,9 +1,11 @@
 """Exact integer homology of the fully graded complex.
 
 Generators split by (Maslov, Alexander) bigrading and the marker-free
-differential maps each piece to the piece one Maslov degree down.  Free
-ranks and torsion come from Smith normal forms of the incoming and
-outgoing boundary matrices over Z.  The hat reduction peels the free
+differential maps each piece to the piece one Maslov degree down.  Each
+such boundary block is built as sparse columns, one {row: value} dict per
+source generator, and reduced as soon as it is built; only its Smith form
+is kept.  Free ranks and torsion come from the Smith normal forms over Z
+of the incoming and outgoing blocks.  The hat reduction peels the free
 factor of each extra grid row off the bigraded ranks, and the Poincare,
 Euler and Alexander polynomials are exact Laurent polynomials.
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import grid as _grid
 from .grid import ComponentData, GridDiagram
@@ -125,31 +127,7 @@ def equal_up_to_t_shift(p: Laurent, q: Laurent) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, value), no zeros
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "IntegerMatrix":
-        merged: dict[tuple[int, int], int] = {}
-        for r, c, v in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            merged[(r, c)] = merged.get((r, c), 0) + v
-        return cls(rows, cols, tuple((r, c, v) for (r, c), v in sorted(merged.items()) if v))
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls.from_entries(
-            rows, cols, ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
-        )
+# Smith normal form
 
 
 @dataclass(frozen=True)
@@ -238,8 +216,11 @@ def _dense_smith_form(D: list[list[int]], n: int) -> SmithForm:
     return SmithForm((1,) * (t - len(chain)) + tuple(chain))
 
 
-def smith_normal_form(A: IntegerMatrix) -> SmithForm:
-    """Invariant factors of A over Z, in two stages.
+def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
+    """Invariant factors over Z of the integer matrix whose column c is
+    columns[c], a {row: value} dict of its nonzero entries.  Rows are
+    whatever keys appear; an empty column, or no columns at all, is a
+    zero part of the matrix.  Two stages:
 
     1. Sparse unit stage.  Rows are kept as {col: value} and columns as
        sets of rows.  Columns are taken fewest nonzeros first from a
@@ -256,18 +237,22 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for r, c, v in A.entries:
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
+    for c, column in enumerate(columns):
+        if column:
+            cols[c] = set(column)
+            for r, v in column.items():
+                rows.setdefault(r, {})[c] = v
     # queue[k] holds columns queued with k nonzeros and no bucket below
-    # low is occupied; unlike heapq this loads no extension module, which
-    # would add about 0.2 MB to every process that imports gridspin
-    queue: list[list[int]] = [[] for _ in range(A.rows + 1)]
+    # low is occupied; a column never has more nonzeros than there are
+    # rows.  Unlike heapq this loads no extension module, which would add
+    # about 0.2 MB to every process that imports gridspin
+    nrows = len(rows)
+    queue: list[list[int]] = [[] for _ in range(nrows + 1)]
     for c, members in cols.items():
         queue[len(members)].append(c)
     low = 1
     units = 0
-    while low <= A.rows:
+    while low <= nrows:
         if not queue[low]:
             low += 1
             continue
@@ -373,26 +358,28 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
     by_grading: dict[Bigrading, list[tuple[int, ...]]] = {}
     for x in itertools.permutations(range(G.n)):
         by_grading.setdefault(Bigrading(*_grid._gradings(G, x)), []).append(x)
-    index = {
-        bg: {x: i for i, x in enumerate(members)} for bg, members in by_grading.items()
-    }
 
-    # boundary matrices keyed by source bigrading, merged per column: on a
-    # split grid (a, b) and (b, a) out of x can both be marker-free and cancel
-    matrices: dict[Bigrading, IntegerMatrix] = {}
+    # each block is reduced as soon as it is built, so the columns of one
+    # block at a time are alive; the column of x merges its rectangles per
+    # target and drops zero sums, since on a split grid (a, b) and (b, a)
+    # out of x can both be marker-free and cancel
+    snfs: dict[Bigrading, SmithForm] = {}
     for bg, members in by_grading.items():
-        target_bg = Bigrading(bg.maslov - 1, bg.alexander2)
-        targets = index.get(target_bg, {})
-        entries = []
-        for col, x in enumerate(members):
+        below = by_grading.get(Bigrading(bg.maslov - 1, bg.alexander2), ())
+        targets = {y: r for r, y in enumerate(below)}
+        columns = []
+        for x in members:
             column: dict[int, int] = {}
             for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
                 r = targets[y]
-                column[r] = column.get(r, 0) + (-1 if _right_mul(x, *label)[1] else 1)
-            entries.extend((r, col, v) for r, v in column.items() if v)
-        matrices[bg] = IntegerMatrix(len(targets), len(members), tuple(entries))
+                v = column.get(r, 0) + (-1 if _right_mul(x, *label) else 1)
+                if v:
+                    column[r] = v
+                else:
+                    del column[r]
+            columns.append(column)
+        snfs[bg] = smith_normal_form(columns)
 
-    snfs = {bg: smith_normal_form(M) for bg, M in matrices.items()}
     pieces = []
     poincare: dict[Exponent, int] = {}
     for bg in sorted(by_grading):

@@ -134,11 +134,11 @@ def canonical_word(perm: tuple[int, ...]) -> tuple[Label, ...]:
 # Normal-form core
 
 
-def _right_mul(perm: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], int]:
-    """Normal form of s(perm) * t(a, b); returns (perm * (a b), phi).
-
-    phi in {0,1} is the exponent of z, i.e. s(perm) * t(a,b) equals
-    z^phi * s(perm * (a b)).
+def _right_mul(perm: Sequence[int], a: int, b: int) -> int:
+    """Normal form of s(perm) * t(a, b); returns phi in {0,1}, the
+    exponent of z in s(perm) * t(a,b) = z^phi * s(perm * (a b)).  The
+    permutation perm * (a b) swaps the values of perm at a and b; callers
+    that need it swap them themselves.
 
     The loop peels the top canonical factor of perm and pushes the lift
     through it with the conjugation rule.  Each pass either ends the
@@ -152,8 +152,6 @@ def _right_mul(perm: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], 
     if a > b:
         a, b = b, a
         bit = 1
-    y = list(perm)
-    y[a], y[b] = y[b], y[a]
     x = list(perm)
     m = len(x)
     while True:
@@ -175,7 +173,7 @@ def _right_mul(perm: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], 
             else:
                 a, b = p, a
                 bit ^= 1
-    return tuple(y), bit
+    return bit
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +221,11 @@ def multiply(g: SpinElement, h: SpinElement) -> SpinElement:
     """Group law, by folding h's canonical word into g from the right."""
     if g.n != h.n:
         raise ValueError(f"size mismatch: {g.n} vs {h.n}")
-    perm, bit = g.perm, g.bit ^ h.bit
+    perm, bit = list(g.perm), g.bit ^ h.bit
     for a, b in canonical_word(h.perm):
-        perm, phi = _right_mul(perm, a, b)
-        bit ^= phi
-    return SpinElement(perm, bit)
+        bit ^= _right_mul(perm, a, b)
+        perm[a], perm[b] = perm[b], perm[a]
+    return SpinElement(tuple(perm), bit)
 
 
 def inverse(g: SpinElement) -> SpinElement:
@@ -256,18 +254,18 @@ def _transposition_cocycle(perm: tuple[int, ...], a: int, b: int) -> int:
     The canonical word of a transposition is its single factor
     (min, max), so s((a b)) = t(min, max) and s(perm) * s((a b)) is one
     right multiplication: c(perm, (a b)) = (-1)^phi for
-    _right_mul(perm, min, max) = (perm * (a b), phi).  perm must be a
-    permutation and a != b indices of it.
+    phi = _right_mul(perm, min, max).  perm must be a permutation and
+    a != b indices of it.
     """
     if a > b:
         a, b = b, a
-    return -1 if _right_mul(perm, a, b)[1] else 1
+    return -1 if _right_mul(perm, a, b) else 1
 
 
 def sigma_element(n: int) -> SpinElement:
     """The distinguished lift t(0,1)*t(1,2)*...*t(n-2,n-1) of the n-cycle."""
-    perm, bit = identity(n), 0
+    perm, bit = list(range(n)), 0
     for i in range(n - 1):
-        perm, phi = _right_mul(perm, i, i + 1)
-        bit ^= phi
-    return SpinElement(perm, bit)
+        bit ^= _right_mul(perm, i, i + 1)
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return SpinElement(tuple(perm), bit)

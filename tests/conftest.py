@@ -47,8 +47,7 @@ def corpus_verdicts():
             out.generators += 1
             terms = []
             for label, y, ocols, _ in _grid.empty_rectangles(G, x):
-                _, phi = _right_mul(x, *label)
-                terms.append((label, y, ocols, -1 if phi else 1))
+                terms.append((label, y, ocols, -1 if _right_mul(x, *label) else 1))
             raw[x] = terms
         for x, terms in raw.items():
             out.rectangles += len(terms)

@@ -4,19 +4,53 @@ The production ``gridspin.homology.smith_normal_form`` reports invariant
 factors only.  This oracle keeps dense U and V with U * A * V equal to the
 padded diagonal, so ``snf_product_check`` and a determinant check certify
 each answer independently; the tests then require the production diagonal
-to equal this one.
+to equal this one.  ``IntegerMatrix`` is the test-side matrix both routines
+read: ``columns`` hands it to the production routine in the sparse column
+form the homology assembly builds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from gridspin.homology import IntegerMatrix
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, int, int], ...]  # (row, col, value), no zeros
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "IntegerMatrix":
+        merged: dict[tuple[int, int], int] = {}
+        for r, c, v in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+            merged[(r, c)] = merged.get((r, c), 0) + v
+        return cls(rows, cols, tuple((r, c, v) for (r, c), v in sorted(merged.items()) if v))
+
+    @classmethod
+    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "IntegerMatrix":
+        rows = len(dense)
+        cols = len(dense[0]) if rows else 0
+        return cls.from_entries(
+            rows, cols, ((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row))
+        )
 
 
 def to_dense(A: IntegerMatrix) -> list[list[int]]:
     out = [[0] * A.cols for _ in range(A.rows)]
     for r, c, v in A.entries:
         out[r][c] = v
+    return out
+
+
+def columns(A: IntegerMatrix) -> list[dict[int, int]]:
+    """A as one {row: value} dict per column, the input of
+    ``gridspin.homology.smith_normal_form``."""
+    out: list[dict[int, int]] = [{} for _ in range(A.cols)]
+    for r, c, v in A.entries:
+        out[c][r] = v
     return out
 
 

@@ -91,8 +91,7 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
     right_mul = spin._right_mul
 
     def flipped(x, a, b):
-        y, bit = right_mul(x, a, b)
-        return (y, bit ^ 1) if (tuple(x), (a, b)) == (x0, label0) else (y, bit)
+        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
     path = grid_file("t.grid", grid.trefoil5())

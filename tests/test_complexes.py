@@ -103,7 +103,7 @@ def test_rectangle_table_matches_the_scan():
             for label, y, bit, okey, cells in records
         ]
         scan = grid.empty_rectangles(G, x)
-        assert unpacked == [(label, y, spin._right_mul(x, *label)[1], o, cells) for label, y, o, cells in scan]
+        assert unpacked == [(label, y, spin._right_mul(x, *label), o, cells) for label, y, o, cells in scan]
 
 
 def test_d_squared_zero_all_n3():
@@ -122,12 +122,11 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
     right_mul = spin._right_mul
 
     def flipped(x, a, b):
-        y, bit = right_mul(x, a, b)
-        return (y, bit ^ 1) if (tuple(x), (a, b)) == (x0, label0) else (y, bit)
+        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
     d = {
-        x: [(y, -1 if flipped(x, *label)[1] else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
+        x: [(y, -1 if flipped(x, *label) else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
         for x in itertools.permutations(range(G.n))
     }
     want = []

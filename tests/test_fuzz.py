@@ -103,6 +103,8 @@ _commands = st.one_of(
         st.sampled_from(["tilde", "hat"]),
         st.booleans(),
     ),
+    st.just(["alexander"]),
+    st.builds(lambda js: ["invariance"] + (["--json"] if js else []), st.booleans()),
 )
 
 
@@ -115,6 +117,8 @@ def test_cli_exit_codes(tmp_path, command, text, script, tail):
     # trailing raw bytes are often invalid UTF-8, which must exit 2 cleanly
     grid_path.write_bytes(text.encode() + tail)
     argv = [command[0], str(grid_path), *command[1:]]
+    if command[0] == "invariance":
+        argv.insert(2, str(grid_path))  # the fuzzed grid against itself
     if command[0] == "move":
         script_path = tmp_path / "fuzz.moves"
         script_path.write_bytes(script.encode() + tail)

@@ -48,8 +48,7 @@ def reports(G) -> dict:
     right_mul = spin._right_mul
 
     def flipped(x, a, b):
-        y, bit = right_mul(x, a, b)
-        return (y, bit ^ 1) if (tuple(x), (a, b)) == (x0, label0) else (y, bit)
+        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
 
     with mock.patch.object(complexes, "_right_mul", flipped):
         offenders = complexes.d_squared_offenders(complexes.rectangle_table(G))

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import oracle_mod2
 import oracle_rectangles
 import oracle_snf
-from gridspin import grid, spin
+from gridspin import grid, homology, spin
 from gridspin.grid import GridDiagram
 from gridspin.homology import (
-    IntegerMatrix,
     Laurent,
     NotDivisible,
     alexander_polynomial,
@@ -22,6 +21,7 @@ from gridspin.homology import (
     render_polynomial,
     smith_normal_form,
 )
+from oracle_snf import IntegerMatrix
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -32,7 +32,7 @@ def _certified_diagonal(A):
     production routine must report the same ones."""
     S = oracle_snf.smith_normal_form(A)
     assert oracle_snf.snf_product_check(A, S)
-    assert smith_normal_form(A).diagonal == S.diagonal
+    assert smith_normal_form(oracle_snf.columns(A)).diagonal == S.diagonal
     return S.diagonal
 
 
@@ -40,6 +40,14 @@ def test_snf_examples():
     assert _certified_diagonal(IntegerMatrix.from_dense([[0, 0], [0, 0]])) == ()
     assert _certified_diagonal(IntegerMatrix.from_dense([[1, 2], [3, 4]])) == (1, 2)
     assert _certified_diagonal(IntegerMatrix.from_dense([[2, 0], [0, 3]])) == (1, 6)
+    # the block shapes the homology assembly hands over: no columns (a
+    # bigrading that is nobody's source), columns with no rows (the lowest
+    # Maslov block of every grid), an all-empty column among non-empty ones
+    assert smith_normal_form([]).diagonal == ()
+    assert _certified_diagonal(IntegerMatrix(0, 0, ())) == ()
+    assert _certified_diagonal(IntegerMatrix(0, 3, ())) == ()
+    assert _certified_diagonal(IntegerMatrix.from_dense([[1, 0, 2], [0, 0, 4]])) == (1, 4)
+    assert _certified_diagonal(IntegerMatrix.from_dense([[0, 2, 0], [0, 0, 3]])) == (1, 6)
 
 
 def test_snf_merges_duplicate_entries():
@@ -92,7 +100,7 @@ def test_snf_transforms_unimodular():
         S = oracle_snf.smith_normal_form(A)
         assert abs(_det([list(r) for r in S.U])) == 1
         assert abs(_det([list(r) for r in S.V])) == 1
-        assert smith_normal_form(A).diagonal == S.diagonal
+        assert smith_normal_form(oracle_snf.columns(A)).diagonal == S.diagonal
 
 
 def test_snf_dense_60():
@@ -125,20 +133,72 @@ def test_snf_rows_zeroed_partway():
         _certified_diagonal(IntegerMatrix.from_dense(stacked))
 
 
+def _mod2_ranks(H):
+    """GF(2) dimensions by universal coefficients: the dimension at (M, A)
+    is the free rank there plus the even invariant factors at (M, A) and
+    (M - 1, A)."""
+    expected = {}
+    for bg, rank, torsion in H.pieces:
+        even = sum(1 for f in torsion if f % 2 == 0)
+        for key, k in (((bg.maslov, bg.alexander2), rank + even), ((bg.maslov + 1, bg.alexander2), even)):
+            if k:
+                expected[key] = expected.get(key, 0) + k
+    return expected
+
+
+def _cancelling_targets(G):
+    """(x, y) pairs whose marker-free rectangles from x to y have group-law
+    signs summing to zero."""
+    out = []
+    for x in itertools.permutations(range(G.n)):
+        total = {}
+        for label, y in grid.empty_rectangles(G, x, marker_free=True):
+            total.setdefault(y, []).append(-1 if spin._right_mul(x, *label) else 1)
+        out.extend((x, y) for y, signs in total.items() if len(signs) > 1 and not sum(signs))
+    return out
+
+
 def test_marker_free_targets_repeat_on_split_grids():
-    # why bigraded_homology merges its entries per column: on the split
-    # unlink both rectangles from x to y are marker-free and cancel
+    # why bigraded_homology merges its column entries per target and drops
+    # zero sums: on the split unlink both rectangles from x to y are
+    # marker-free and cancel
     G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
     x = (2, 1, 0, 3)
     found = grid.empty_rectangles(G, x, marker_free=True)
     assert [y for _, y in found] == [(0, 1, 2, 3)] * 2
-    assert sorted(spin._right_mul(x, *label)[1] for label, _ in found) == [0, 1]
+    assert sorted(spin._right_mul(x, *label) for label, _ in found) == [0, 1]
+    assert (x, (0, 1, 2, 3)) in _cancelling_targets(G)
+    assert _mod2_ranks(bigraded_homology(G)) == oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows)
+    assert sum(len(_cancelling_targets(G)) for n in (2, 3, 4) for G in grid.all_grids(n)) == 32
+
+
+def test_one_snf_call_per_bigrading_block(monkeypatch):
+    # the assembly reduces every block once, through the module-level name
+    calls = []
+    solve = homology.smith_normal_form
+
+    def counting(columns):
+        calls.append(len(columns))
+        return solve(columns)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
+    for G in (grid.hopf4(), grid.trefoil5()):
+        calls.clear()
+        H = bigraded_homology(G)
+        sizes = {}
+        for x in itertools.permutations(range(G.n)):
+            key = (grid.maslov(G, x), grid.alexander2(G, x))
+            sizes[key] = sizes.get(key, 0) + 1
+        assert sorted(calls) == sorted(sizes.values())
+        monkeypatch.setattr(homology, "smith_normal_form", solve)
+        assert bigraded_homology(G) == H
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
 
 
 def _graded_terms(G, x):
     """(target, group-law sign) of every marker-free empty rectangle out of x."""
     return [
-        (y, -1 if spin._right_mul(x, *label)[1] else 1)
+        (y, -1 if spin._right_mul(x, *label) else 1)
         for label, y, ocols, cells in grid.empty_rectangles(G, x)
         if not (any(ocols) or any(oracle_rectangles.x_counts(G, cells)))
     ]
@@ -171,7 +231,7 @@ def test_snf_n7_knot_blocks():
     G = grid.random_grid(7, random.Random(2))
     assert G.components.l == 1
     for A in _boundary_blocks(G):
-        assert smith_normal_form(A).diagonal == oracle_snf.smith_normal_form(A).diagonal
+        assert smith_normal_form(oracle_snf.columns(A)).diagonal == oracle_snf.smith_normal_form(A).diagonal
 
 
 def _mixed(dense, rng, steps):
@@ -422,21 +482,13 @@ def test_tilde_euler_factors_through_alexander():
 
 
 def test_mod2_oracle_agrees_on_random_grids():
-    # universal coefficients: the GF(2) dimension at (M, A) is the free
-    # rank there plus the even invariant factors at (M, A) and (M - 1, A)
+    # universal coefficients against the GF(2) oracle
     rng = random.Random(31)
     grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
     grids += [grid.random_grid(5, rng) for _ in range(5)]
     grids += [grid.random_grid(6, rng) for _ in range(2)]
     for G in grids:
-        H = bigraded_homology(G)
-        expected = {}
-        for bg, rank, torsion in H.pieces:
-            even = sum(1 for f in torsion if f % 2 == 0)
-            for key, k in (((bg.maslov, bg.alexander2), rank + even), ((bg.maslov + 1, bg.alexander2), even)):
-                if k:
-                    expected[key] = expected.get(key, 0) + k
-        assert oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows) == expected, G
+        assert oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows) == _mod2_ranks(bigraded_homology(G)), G
 
 
 def test_homology_independent_of_basis_order():
@@ -462,7 +514,7 @@ def test_homology_independent_of_basis_order():
             for col, x in enumerate(members):
                 for y, s in _graded_terms(G, x):
                     entries.append((tgt[y], col, s))
-            S = smith_normal_form(IntegerMatrix.from_entries(len(tgt), len(members), entries))
+            S = smith_normal_form(oracle_snf.columns(IntegerMatrix.from_entries(len(tgt), len(members), entries)))
             ranks[bg] = S.rank
             tors[bg] = S.torsion()
         for bg, members in shuffled.items():
