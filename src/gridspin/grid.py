@@ -6,6 +6,13 @@ fundamental domain is [0, n) x [0, n) on the torus.  Generators are
 permutations drawn as lattice points (i, x(i)); markers sit at cell
 centres, so every comparison between a point and a marker is a strict
 inequality that integer row and column indices decide exactly.
+
+Two per-grid tables serve the homology path, which visits every
+generator: the packed grading weight of each lattice point
+(``grading_table``), summed along a depth-first walk of the permutation
+prefix tree (``graded_generators``), and for each left column and bottom
+row the smallest marker offset of each column span (``marker_caps``),
+read by the marker-free rectangle scan.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .spin import Label, is_permutation
 
@@ -65,6 +72,14 @@ class GridDiagram:
     def grading_constants(self) -> tuple[int, tuple[int, ...]]:
         return _grading_constants(self)
 
+    @cached_property
+    def grading_table(self) -> tuple[tuple[int, ...], ...]:
+        return _grading_table(self)
+
+    @cached_property
+    def marker_caps(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        return _marker_caps(self)
+
 
 def validate(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> None:
     """Accept exactly the diagrams with one O and one X per row and column,
@@ -81,42 +96,40 @@ def validate(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> None:
 
 
 def trace_components(G: GridDiagram) -> ComponentData:
-    """Trace horizontal O-to-X and vertical X-to-O segments into cycles."""
+    """Trace horizontal O-to-X and vertical X-to-O segments into cycles,
+    numbered by their smallest O column so the numbering is stable."""
     n = G.n
     x_col_of_row = [0] * n
     for c, r in enumerate(G.x_rows):
         x_col_of_row[r] = c
-    comp_of_row = [0] * n
-    cycles: list[list[int]] = []
+    cycle_of_row = [0] * n
+    cycles = 0
     for start in range(n):
-        if comp_of_row[start]:
+        if cycle_of_row[start]:
             continue
-        cycle = []
+        cycles += 1
         r = start
-        while not comp_of_row[r]:
-            comp_of_row[r] = len(cycles) + 1
-            cycle.append(r)
+        while not cycle_of_row[r]:
+            cycle_of_row[r] = cycles
             r = G.o_rows[x_col_of_row[r]]
-        cycles.append(cycle)
-    # renumber components by their smallest O column, so numbering is stable
-    comp_key = []
-    for idx, cycle in enumerate(cycles):
-        cols = [c for c in range(n) if comp_of_row[G.o_rows[c]] == idx + 1]
-        comp_key.append((min(cols), idx))
-    order = {idx: rank + 1 for rank, (_, idx) in enumerate(sorted(comp_key))}
-    comp_of_row = [order[c - 1] for c in comp_of_row]
-    l = len(cycles)
-    comp_of_o = tuple(comp_of_row[G.o_rows[c]] for c in range(n))
-    comp_of_x = tuple(comp_of_row[G.x_rows[c]] for c in range(n))
-    n_i = tuple(sum(1 for r in range(n) if comp_of_row[r] == j) for j in range(1, l + 1))
+    # one pass over the O columns meets each cycle first at its smallest
+    # O column, which is that component's first entry of o_numbering
+    number = [0] * (cycles + 1)
     first = []
-    taken = set()
-    for j in range(1, l + 1):
-        col = min(c for c in range(n) if comp_of_o[c] == j)
-        first.append(col)
-        taken.add(col)
+    for c, r in enumerate(G.o_rows):
+        k = cycle_of_row[r]
+        if not number[k]:
+            first.append(c)
+            number[k] = len(first)
+    comp_of_row = [number[k] for k in cycle_of_row]
+    n_i = [0] * cycles
+    for j in comp_of_row:
+        n_i[j - 1] += 1
+    comp_of_o = tuple(comp_of_row[r] for r in G.o_rows)
+    comp_of_x = tuple(comp_of_row[r] for r in G.x_rows)
+    taken = set(first)
     rest = [c for c in range(n) if c not in taken]
-    return ComponentData(l, comp_of_o, comp_of_x, n_i, tuple(first + rest))
+    return ComponentData(cycles, comp_of_o, comp_of_x, tuple(n_i), tuple(first + rest))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +143,15 @@ def trace_components(G: GridDiagram) -> ComponentData:
 #   M(x)     = I(x, x) - J2(x, O) + I(O, O) + 1,
 #   2 A_j(x) = J2(x, X_j) - J2(x, O_j) - J2(X + O, X_j - O_j) / 2 - (n_j - 1).
 #
-# The marker-only terms are computed once per grid (grading_constants).
+# A point (i, v) and a marker (c, r) form a J2 pair exactly when
+# (i <= c and v <= r) or (c < i and r < v), so J2(x, M) = sum_i w_M[i][x[i]]
+# for the per-point weight w_M[i][v], the number of markers of M paired
+# with (i, v).  I(x, x) is n(n - 1)/2 minus the inversions of x.  Both
+# gradings are packed into one integer per point (_point_weights), with
+# the marker-only terms folded into column 0, which every generator meets
+# once; a generator's gradings are the sum of its n point weights less
+# its inversions.  The walk over all generators reads the weights from an
+# n x n table cached per grid (grading_table).
 
 
 def _markers_j2(A: Sequence[Point], B: Sequence[Point]) -> int:
@@ -157,28 +178,99 @@ def _grading_constants(G: GridDiagram) -> tuple[int, tuple[int, ...]]:
     return _markers_j2(O, O) // 2 + 1, tuple(alex)
 
 
-def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(Maslov degree, doubled Alexander multi-grading) of x in one pass
-    over the columns c, with ``seen`` the bitmask of the rows x[0..c].
+def _field_bits(n: int) -> int:
+    """Bits per field of a packed grading key.  The Maslov degree and each
+    doubled Alexander grading lie below 5 n^2 in absolute value, inside
+    the 2^(bits - 1) > 8 n^2 of a field, so a generator's summed key
+    decodes exactly (``_unpack``)."""
+    return (8 * n * n).bit_length() + 1
 
-    With P the number of points (i, v), i <= c, with v <= r, the points on
-    the same side as the marker (c, r) in both coordinates number
-    P + (n - 1 - c) - (r + 1 - P), so J2(x, {m}) = 2P + n - c - r - 2.
-    I(x, x) gains the rows below x[c] seen before column c.
-    """
+
+def _point_weights(G: GridDiagram, points: Iterable[Point]) -> Iterator[int]:
+    """The weight of each lattice point (i, v) of ``points``, packed into
+    fields of ``_field_bits(n)`` bits: the Maslov degree in field 0 and
+    the doubled Alexander grading of component j in field j.  An O marker
+    of component j counts -1 in fields 0 and j, an X marker +1 in field j,
+    and the points of column 0 also carry the marker-only terms and the
+    n(n - 1)/2 of I(x, x)."""
     n = G.n
+    bits = _field_bits(n)
     comps = G.components
     m0, alex = G.grading_constants
-    out = list(alex)
-    inside = j2_o = seen = 0
-    for c, (v, o, xr) in enumerate(zip(x, G.o_rows, G.x_rows)):
-        inside += (seen & ((1 << v) - 1)).bit_count()
-        seen |= 1 << v
-        k = 2 * (seen & ((2 << o) - 1)).bit_count() + n - c - o - 2
-        j2_o += k
-        out[comps.comp_of_o[c] - 1] -= k
-        out[comps.comp_of_x[c] - 1] += 2 * (seen & ((2 << xr) - 1)).bit_count() + n - c - xr - 2
-    return inside - j2_o + m0, tuple(out)
+    base = m0 + n * (n - 1) // 2 + sum(a << bits * j for j, a in enumerate(alex, 1))
+    markers = []
+    for c in range(n):
+        markers.append((c, G.o_rows[c], -1 - (1 << bits * comps.comp_of_o[c])))
+        markers.append((c, G.x_rows[c], 1 << bits * comps.comp_of_x[c]))
+    for i, v in points:
+        w = 0 if i else base
+        for c, r, weight in markers:
+            if (i <= c and v <= r) or (c < i and r < v):
+                w += weight
+        yield w
+
+
+def _grading_table(G: GridDiagram) -> tuple[tuple[int, ...], ...]:
+    """table[i][v]: the packed weight of the point (i, v)."""
+    n = G.n
+    return tuple(tuple(_point_weights(G, [(i, v) for v in range(n)])) for i in range(n))
+
+
+def _unpack(key: int, bits: int, l: int) -> tuple[int, tuple[int, ...]]:
+    """(Maslov degree, doubled Alexander grading) from a packed key."""
+    half = 1 << (bits - 1)
+    fields = []
+    for _ in range(l + 1):
+        f = ((key + half) & ((half << 1) - 1)) - half
+        fields.append(f)
+        key = (key - f) >> bits
+    return fields[0], tuple(fields[1:])
+
+
+def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(Maslov degree, doubled Alexander multi-grading) of x: the sum of
+    its points' weights, less its inversions, each point (i, x[i])
+    counting the rows below x[i] not yet taken by x[0..i-1].  The weights
+    of the n points are computed directly, so a single generator costs
+    O(n^2) and no n x n table."""
+    key = 0
+    free = (1 << G.n) - 1
+    for w, v in zip(_point_weights(G, enumerate(x)), x):
+        key += w - (free & ((1 << v) - 1)).bit_count()
+        free ^= 1 << v
+    return _unpack(key, _field_bits(G.n), G.components.l)
+
+
+def graded_generators(G: GridDiagram) -> dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every generator grouped by (Maslov degree, doubled Alexander
+    grading), keys and lists in ``itertools.permutations`` order.
+
+    A depth-first walk of the permutation prefix tree: a prefix x[0..c-1]
+    carries its packed partial sum, and each child adds one entry of
+    ``G.grading_table`` less its inversions, so about e n! node steps
+    replace n steps per generator.  Each distinct key is decoded once, at
+    the end.  ``_descend`` is a module function: a nested function that
+    called itself would be a reference cycle holding every generator
+    until the next cyclic collection.
+    """
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    _descend(G.grading_table, 0, 0, tuple(range(G.n)), (), groups)
+    bits, l = _field_bits(G.n), G.components.l
+    return {_unpack(key, bits, l): xs for key, xs in groups.items()}
+
+
+def _descend(table: tuple[tuple[int, ...], ...], c: int, key: int, free: tuple[int, ...],
+             prefix: tuple[int, ...], groups: dict[int, list[tuple[int, ...]]]) -> None:
+    """Extend ``prefix`` (columns 0..c-1) by each free row in increasing
+    order; the free row of rank k has k free rows below it, which later
+    columns take: k inversions."""
+    row = table[c]
+    c += 1
+    if c == len(table):
+        groups.setdefault(key + row[free[0]], []).append(prefix + free)
+        return
+    for k, v in enumerate(free):
+        _descend(table, c, key + row[v] - k, free[:k] + free[k + 1:], prefix + (v,), groups)
 
 
 def maslov(G: GridDiagram, x: Sequence[int]) -> int:
@@ -211,6 +303,30 @@ def is_horizontally_torn(label: Label) -> bool:
     return a > b
 
 
+def _marker_caps(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """caps[a][v]: the pairs (b, cap) for b = a + 1, a + 2, ... (mod n),
+    with cap the smallest row offset (r - v) mod n of a marker in the
+    columns [a, b).  The tuple stops before the first cap of 0: from there
+    on a marker lies on the bottom row v of every rectangle from column a.
+    """
+    n = G.n
+    caps = []
+    for a in range(n):
+        per_row = []
+        for v in range(n):
+            pairs = []
+            cap = n
+            for width in range(1, n):
+                c = (a + width - 1) % n  # the column that joins the span
+                cap = min(cap, (G.o_rows[c] - v) % n, (G.x_rows[c] - v) % n)
+                if not cap:
+                    break
+                pairs.append(((a + width) % n, cap))
+            per_row.append(tuple(pairs))
+        caps.append(tuple(per_row))
+    return tuple(caps)
+
+
 def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
     """The empty rectangles out of x: (label, target, o_counts, cells)
     with the O-counts indexed by column and cell (c, r) of the rectangle
@@ -222,39 +338,38 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False
     columns c passed so far.  Offsets of distinct columns differ, so
     (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
     below ``lowest``.  A marker of column c in the span [a, b) lies inside
-    exactly when its row offset from x[a] is below h; ``mark``, the
-    smallest marker offset of the span, makes the rectangle marker-free
-    exactly when h <= mark.
+    exactly when its row offset from x[a] is below h, so the rectangle is
+    marker-free exactly when h is at most the span's ``cap``; the
+    marker-free scan reads the columns b and caps from ``G.marker_caps``.
     """
     n = G.n
     x = tuple(x)
-    o_rows, x_rows = G.o_rows, G.x_rows
     out = []
+    if marker_free:
+        caps = G.marker_caps
+        for a, xa in enumerate(x):
+            lowest = n
+            for b, cap in caps[a][xa]:
+                h = (x[b] - xa) % n
+                if h < lowest:
+                    lowest = h
+                    if h <= cap:
+                        y = list(x)
+                        y[a], y[b] = x[b], xa
+                        out.append(((a, b), tuple(y)))
+        return out
+    o_rows = G.o_rows
     for a in range(n):
         xa = x[a]
-        lowest = mark = n
+        lowest = n
         for width in range(1, n):
             b = (a + width) % n
-            if marker_free:  # column b - 1 joins the span (index -1 is column n - 1)
-                k = (o_rows[b - 1] - xa) % n
-                if k < mark:
-                    mark = k
-                k = (x_rows[b - 1] - xa) % n
-                if k < mark:
-                    mark = k
-                if not mark:
-                    break  # a marker lies on the bottom row of every later (a, b)
             h = (x[b] - xa) % n
             if h >= lowest:
                 continue
             lowest = h
-            if marker_free and h > mark:
-                continue
             y = list(x)
             y[a], y[b] = x[b], xa
-            if marker_free:
-                out.append(((a, b), tuple(y)))
-                continue
             # the rows xa, ..., xa + h - 1 mod n (h < n, so reducing mod
             # 2^n - 1 moves the bits past row n - 1 back to the bottom)
             rows = (((1 << h) - 1) << xa) % ((1 << n) - 1)

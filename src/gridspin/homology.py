@@ -14,7 +14,6 @@ stored doubled throughout; q-exponents (Maslov) stay plain integers.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -355,9 +354,7 @@ class HomologySummary:
 def bigraded_homology(G: GridDiagram) -> HomologySummary:
     """Homology of the marker-free differential, split by bigrading."""
     comps = G.components
-    by_grading: dict[Bigrading, list[tuple[int, ...]]] = {}
-    for x in itertools.permutations(range(G.n)):
-        by_grading.setdefault(Bigrading(*_grid._gradings(G, x)), []).append(x)
+    by_grading = {Bigrading(*bg): xs for bg, xs in _grid.graded_generators(G).items()}
 
     # each block is reduced as soon as it is built, so the columns of one
     # block at a time are alive; the column of x merges its rectangles per

@@ -47,7 +47,11 @@ def corpus_verdicts():
             out.generators += 1
             terms = []
             for label, y, ocols, _ in _grid.empty_rectangles(G, x):
-                terms.append((label, y, ocols, -1 if _right_mul(x, *label) else 1))
+                # the O-count of column c in bits 2c and 2c + 1: the
+                # monomial of a composite (at most 2 per column) is the
+                # sum of its two packed monomials, without carries
+                mono = sum(k << 2 * c for c, k in enumerate(ocols))
+                terms.append((label, y, mono, -1 if _right_mul(x, *label) else 1))
             raw[x] = terms
         for x, terms in raw.items():
             out.rectangles += len(terms)
@@ -58,7 +62,7 @@ def corpus_verdicts():
             comp = {}
             for _, y, m1, s1 in terms:
                 for _, w, m2, s2 in raw[y]:
-                    key = (w, tuple(u + v for u, v in zip(m1, m2)))
+                    key = (w, m1 + m2)
                     comp[key] = comp.get(key, 0) + s1 * s2
             if any(comp.values()):
                 out.d2_failures.append((G, x))

@@ -53,6 +53,38 @@ def test_components_partition_rows():
         assert len({c.comp_of_o[col] for col in c.o_numbering[: c.l]}) == c.l
 
 
+def _components_reference(G):
+    """ComponentData from the oracle's cycles, numbered by smallest O
+    column, with the first O column of each component leading o_numbering."""
+    comp_of_row, cycles = oracle_mod2._components(G.n, G.o_rows, G.x_rows)
+    first = {}
+    for c, r in enumerate(G.o_rows):
+        first.setdefault(comp_of_row[r], c)
+    number = {k: j for j, k in enumerate(first, 1)}
+    lead = list(first.values())
+    return grid.ComponentData(
+        len(cycles),
+        tuple(number[comp_of_row[r]] for r in G.o_rows),
+        tuple(number[comp_of_row[r]] for r in G.x_rows),
+        tuple(len(cycles[k]) for k in first),
+        tuple(lead + [c for c in range(G.n) if c not in lead]),
+    )
+
+
+def test_components_match_oracle():
+    import random
+
+    rng = random.Random(12)
+    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    grids += [grid.random_grid(rng.randint(5, 30), rng) for _ in range(200)]
+    grids += [grid.torus_grid(p, q) for p in range(1, 6) for q in range(1, 6)]
+    # n/2 two-row components, the case a per-component rescan made quadratic
+    n = 400
+    grids.append(GridDiagram(n, tuple(r ^ 1 for r in range(n)), tuple(range(n))))
+    for G in grids:
+        assert G.components == _components_reference(G), G
+
+
 def test_count_pairs_examples():
     assert oracle_mod2._pairs_below([], [(0.5, 1.5)]) == 0
     assert oracle_mod2._pairs_below([(0, 0), (1, 1)], [(0.5, 1.5), (1.5, 0.5)]) == 2
@@ -99,20 +131,33 @@ def test_alexander_unknot():
 
 def test_gradings_match_oracle():
     # the integer closed form against the rational J-formula recomputed
-    # from first principles, on every generator
+    # from first principles, on every generator; the prefix-tree walk
+    # against grouping those gradings in itertools.permutations order
     import random
 
     grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
     rng = random.Random(35)
     grids += [grid.random_grid(5, rng) for _ in range(20)]
     grids += [grid.random_grid(6, rng) for _ in range(3)]
-    samples = [(G, x) for G in grids for x in itertools.permutations(range(G.n))]
-    # a seeded sample at n = 8, past the sizes above
+    grids.append(grid.torus_grid(3, 3))  # three components
+    for G in grids:
+        by_grading = {}
+        for x in itertools.permutations(range(G.n)):
+            got = (grid.maslov(G, x), grid.alexander2(G, x))
+            assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
+            by_grading.setdefault(got, []).append(x)
+        assert list(grid.graded_generators(G).items()) == list(by_grading.items()), G
+    # T(3, 5) at n = 8, past the sizes above: the oracle on a seeded
+    # sample, the walk on all 40,320 generators
     T = grid.torus_grid(3, 5)
-    samples += [(T, tuple(rng.sample(range(8), 8))) for _ in range(300)]
-    for G, x in samples:
-        got = (grid.maslov(G, x), grid.alexander2(G, x))
-        assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
+    for x in [tuple(rng.sample(range(8), 8)) for _ in range(300)]:
+        got = (grid.maslov(T, x), grid.alexander2(T, x))
+        assert got == oracle_mod2.gradings(8, T.o_rows, T.x_rows, x), x
+    by_grading = {}
+    for x in itertools.permutations(range(8)):
+        by_grading.setdefault(grid._gradings(T, x), []).append(x)
+    assert list(grid.graded_generators(T).items()) == list(by_grading.items())
+    assert sum(map(len, by_grading.values())) == 40320
 
 
 def test_alexander_parity_constant_per_component():

@@ -195,6 +195,25 @@ def test_one_snf_call_per_bigrading_block(monkeypatch):
         monkeypatch.setattr(homology, "smith_normal_form", counting)
 
 
+def test_assembly_leaves_no_reference_cycles():
+    # with the cyclic collector off, anything the assembly leaves in a
+    # reference cycle (a recursive closure that names itself, say) stays
+    # alive, every generator tuple it reaches included, until the next
+    # collection, which then reports it
+    import gc
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for G in (grid.trefoil5(), grid.hopf4()):
+            bigraded_homology(G)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _graded_terms(G, x):
     """(target, group-law sign) of every marker-free empty rectangle out of x."""
     return [
