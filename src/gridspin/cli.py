@@ -25,6 +25,8 @@ OK, FAIL, BAD_INPUT = 0, 1, 2
 # size bound of each command that enumerates all n! generators; check reads
 # every empty rectangle with its marker counts, homology only marker-free ones
 MAX_N = {"homology": 9, "alexander": 9, "invariance": 9, "check": 8}
+# info draws the grid (2 n^2 - 1 characters) only up to this size
+MAX_DRAWN_N = 100
 
 
 def _load_grid(path: str) -> _grid.GridDiagram:
@@ -72,7 +74,7 @@ def _cmd_info(args) -> int:
     print(f"n {G.n}")
     print(f"components {comps.l}")
     print(f"rows_per_component {' '.join(map(str, comps.n_i))}")
-    print(_grid.ascii_art(G))
+    print(_grid.ascii_art(G) if G.n <= MAX_DRAWN_N else f"drawing omitted (n > {MAX_DRAWN_N})")
     if args.generator is not None:
         try:
             x = tuple(int(p) for p in args.generator.split())

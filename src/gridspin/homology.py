@@ -5,16 +5,26 @@ differential maps each piece to the piece one Maslov degree down.  Each
 such boundary block is built as sparse columns, one {row: value} dict per
 source generator, and reduced as soon as it is built; only its Smith form
 is kept.  Free ranks and torsion come from the Smith normal forms over Z
-of the incoming and outgoing blocks.  The hat reduction peels the free
-factor of each extra grid row off the bigraded ranks, and the Poincare,
-Euler and Alexander polynomials are exact Laurent polynomials.
+of the incoming and outgoing blocks.  Within each Alexander grading the
+blocks go from the highest Maslov degree down, and a generator that the
+block above used as a unit pivot row gets an empty column unscanned
+(clearing: Chen and Kerber, Persistent homology computation with a twist,
+EuroCG 2011).  It is exact over Z: the sparse stage of
+``smith_normal_form`` only adds multiples of a pivot row to other rows and
+drops the row once used, so its row operations L have L[P, not P] = 0 for
+the unit pivot rows P.  Then {L^-1 e_p : p in P} and {e_x : x not in P}
+form a basis, the first part is a boundary that d^2 = 0 kills, and the
+block's Smith form, torsion included, is that of its columns outside P.
+Dense pivots need not be units and clear nothing.  The hat reduction peels
+the free factor of each extra grid row off the bigraded ranks, and the
+Poincare, Euler and Alexander polynomials are exact Laurent polynomials.
 
 Alexander exponents are half-integers in general, so t-exponents are
 stored doubled throughout; q-exponents (Maslov) stay plain integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -131,9 +141,12 @@ def equal_up_to_t_shift(p: Laurent, q: Laurent) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix, and
+    the rows the sparse stage of ``smith_normal_form`` pivoted on (not
+    compared, not shown)."""
 
     diagonal: tuple[int, ...]
+    pivot_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -230,7 +243,9 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
        pivot row and column leave the matrix.  Every step is unimodular
        and contributes the invariant factor 1.  Boundary blocks of grid
        complexes have almost only +-1 entries, so this stage usually
-       leaves nothing behind.
+       leaves nothing behind.  The pivot rows are reported as
+       ``pivot_rows``; no row operation ever adds to one of them after it
+       pivoted, which is what lets the homology assembly clear them.
     2. Dense residual stage.  What is left is reduced densely and its
        invariant factors follow the units.
     """
@@ -250,7 +265,7 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
     for c, members in cols.items():
         queue[len(members)].append(c)
     low = 1
-    units = 0
+    pivots = []
     while low <= nrows:
         if not queue[low]:
             low += 1
@@ -292,14 +307,15 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                     low = min(low, k)
                 else:
                     del cols[j]
-        units += 1
+        pivots.append(p)
 
     col_index = {c: k for k, c in enumerate(cols)}
     residual = [[0] * len(col_index) for _ in rows]
     for dense, row in zip(residual, rows.values()):
         for c, v in row.items():
             dense[col_index[c]] = v
-    return SmithForm((1,) * units + _dense_smith_form(residual, len(col_index)).diagonal)
+    rest = _dense_smith_form(residual, len(col_index)).diagonal
+    return SmithForm((1,) * len(pivots) + rest, frozenset(pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +375,31 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
     # each block is reduced as soon as it is built, so the columns of one
     # block at a time are alive; the column of x merges its rectangles per
     # target and drops zero sums, since on a split grid (a, b) and (b, a)
-    # out of x can both be marker-free and cancel
+    # out of x can both be marker-free and cancel.  Blocks go down in
+    # Maslov degree per Alexander grading, and the unit pivot rows of a
+    # block are kept only until the block below, where they are cleared
     snfs: dict[Bigrading, SmithForm] = {}
-    for bg, members in by_grading.items():
-        below = by_grading.get(Bigrading(bg.maslov - 1, bg.alexander2), ())
-        targets = {y: r for r, y in enumerate(below)}
+    cleared: dict[Bigrading, frozenset[int]] = {}
+    for bg in sorted(by_grading, key=lambda bg: (bg.alexander2, -bg.maslov)):
+        down = Bigrading(bg.maslov - 1, bg.alexander2)
+        targets = {y: r for r, y in enumerate(by_grading.get(down, ()))}
+        skip = cleared.pop(bg, frozenset())
         columns = []
-        for x in members:
+        for c, x in enumerate(by_grading[bg]):
             column: dict[int, int] = {}
-            for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
-                r = targets[y]
-                v = column.get(r, 0) + (-1 if _right_mul(x, *label) else 1)
-                if v:
-                    column[r] = v
-                else:
-                    del column[r]
+            if c not in skip:
+                for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
+                    r = targets[y]
+                    v = column.get(r, 0) + (-1 if _right_mul(x, *label) else 1)
+                    if v:
+                        column[r] = v
+                    else:
+                        del column[r]
             columns.append(column)
-        snfs[bg] = smith_normal_form(columns)
+        S = smith_normal_form(columns)
+        if S.pivot_rows:
+            cleared[down] = S.pivot_rows
+        snfs[bg] = SmithForm(S.diagonal)
 
     pieces = []
     poincare: dict[Exponent, int] = {}

@@ -62,6 +62,21 @@ def test_info_with_generator(grid_file, capsys):
     assert "maslov 2" in out and "alexander (1)" in out
 
 
+def test_info_output_linear_past_the_drawing_bound(grid_file, capsys):
+    # the drawing has 2 n^2 - 1 characters; past the bound info prints one
+    # line instead, and the rest of its output is O(n)
+    for n in (cli.MAX_DRAWN_N, cli.MAX_DRAWN_N + 1):
+        code, out, _ = run(capsys, "info", grid_file("u.grid", _unknot(n)))
+        assert code == 0 and ("drawing omitted" in out) == (n > cli.MAX_DRAWN_N)
+    n = 2000
+    links = grid.GridDiagram(n, tuple(c ^ 1 for c in range(n)), tuple(range(n)))  # 1000 unknots
+    for G in (_unknot(n), links):
+        code, out, _ = run(capsys, "info", grid_file("big.grid", G))
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == f"n {n}" and lines[-1] == f"drawing omitted (n > {cli.MAX_DRAWN_N})"
+        assert len(out) < 4 * n + 100
+
+
 def test_info_bad_generator(grid_file, capsys):
     path = grid_file("t.grid", grid.trefoil5())
     code, _, err = run(capsys, "info", path, "--generator", "0 0 1 2 3")

@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_alexander
 import oracle_mod2
 import oracle_rectangles
 import oracle_snf
@@ -224,8 +227,9 @@ def _graded_terms(G, x):
 
 
 def _boundary_blocks(G):
-    """Every boundary block of the marker-free differential: +-1 entries,
-    the shape the homology path reduces."""
+    """(bigrading, block) for every boundary block of the marker-free
+    differential, each column full (nothing cleared): +-1 entries, the
+    shape the homology path reduces."""
     by_grading = {}
     for x in itertools.permutations(range(G.n)):
         by_grading.setdefault((grid.maslov(G, x), grid.alexander2(G, x)), []).append(x)
@@ -234,12 +238,12 @@ def _boundary_blocks(G):
         entries = [
             (below[y], col, sign) for col, x in enumerate(members) for y, sign in _graded_terms(G, x)
         ]
-        yield IntegerMatrix.from_entries(len(below), len(members), entries)
+        yield (maslov, alexander), IntegerMatrix.from_entries(len(below), len(members), entries)
 
 
 def test_snf_boundary_blocks():
     for G in (grid.trefoil5(), grid.random_grid(6, random.Random(66))):
-        for A in _boundary_blocks(G):
+        for _, A in _boundary_blocks(G):
             _certified_diagonal(A)
 
 
@@ -249,8 +253,107 @@ def test_snf_n7_knot_blocks():
     # most of a minute here
     G = grid.random_grid(7, random.Random(2))
     assert G.components.l == 1
-    for A in _boundary_blocks(G):
+    for _, A in _boundary_blocks(G):
         assert smith_normal_form(oracle_snf.columns(A)).diagonal == oracle_snf.smith_normal_form(A).diagonal
+
+
+def _uncleared_pieces(G):
+    """The pieces of ``bigraded_homology`` from full blocks: every
+    generator's column is scanned and reduced, none is cleared."""
+    snfs, dims = {}, {}
+    for bg, A in _boundary_blocks(G):
+        snfs[bg] = smith_normal_form(oracle_snf.columns(A))
+        dims[bg] = A.cols
+    pieces = []
+    for maslov, alexander in sorted(dims):
+        up = snfs.get((maslov + 1, alexander))
+        free = dims[(maslov, alexander)] - snfs[(maslov, alexander)].rank - (up.rank if up else 0)
+        torsion = up.torsion() if up else ()
+        if free or torsion:
+            pieces.append(((maslov, alexander), free, torsion))
+    return pieces
+
+
+def _clearing_grids():
+    """Every grid with n <= 4, 20 seeded n = 5 grids, and the first two
+    seeded n = 6 grids of each component count 1, 2 and 3.  Pivot rows
+    filed under the wrong block agree with the full blocks on every grid
+    with n <= 5 but not at n = 6."""
+    yield from (G for n in (2, 3, 4) for G in grid.all_grids(n))
+    rng = random.Random(605)
+    yield from (grid.random_grid(5, rng) for _ in range(20))
+    rng = random.Random(606)
+    wanted = {1: 2, 2: 2, 3: 2}
+    while any(wanted.values()):
+        G = grid.random_grid(6, rng)
+        if wanted.get(G.components.l):
+            wanted[G.components.l] -= 1
+            yield G
+
+
+def test_clearing_matches_full_blocks():
+    # every piece, free rank and torsion, equals the one read off blocks
+    # in which no generator is cleared
+    count = 0
+    for G in _clearing_grids():
+        assert list(bigraded_homology(G).pieces) == _uncleared_pieces(G), G
+        count += 1
+    assert count == 230 + 20 + 6
+
+
+def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
+    # only the generators no block above pivoted on are scanned; when every
+    # pivot is a unit, the pivots of all blocks number the total rank of the
+    # differential, (n! - tilde rank) / 2, so (n! + tilde rank) / 2 are
+    # scanned.  An assembly that walks up in Maslov degree clears nothing
+    # and scans all n!
+    scans, unit_only = [], []
+    scan, solve = grid.empty_rectangles, homology.smith_normal_form
+
+    def counting(G, x, marker_free=False):
+        scans.append(x)
+        return scan(G, x, marker_free=marker_free)
+
+    def reporting(columns):
+        S = solve(columns)
+        unit_only.append(len(S.pivot_rows) == S.rank)
+        return S
+
+    monkeypatch.setattr(grid, "empty_rectangles", counting)
+    monkeypatch.setattr(homology, "smith_normal_form", reporting)
+    rng = random.Random(6)
+    grids = [grid.trefoil5(), grid.hopf4(), grid.unknot2()] + [grid.random_grid(n, rng) for n in (5, 5, 6, 6)]
+    counts = []
+    for G in grids:
+        scans.clear()
+        unit_only.clear()
+        H = bigraded_homology(G)
+        assert all(unit_only) and not H.has_torsion
+        assert len(scans) == len(set(scans)) == (math.factorial(G.n) + H.total_rank) // 2
+        counts.append(len(scans))
+    assert counts[0] == 84  # of 120 for the trefoil
+
+
+def test_clearing_keeps_non_unit_pivot_rows():
+    # C2 -> C1 -> C0 by hand: d2 sends e0 to r0 + 2 r1 and e1 to 2 r2, d1
+    # sends r0 to -2 s0, r1 to s0 and r2 to 0, so d1 d2 = 0 and
+    # H1 = ker d1 / im d2 = Z/2.  The sparse stage pivots on the unit at
+    # r0 only; the x2 at r2 is left to the dense stage
+    d2 = [{0: 1, 1: 2}, {2: 2}]
+    d1 = [{0: -2}, {0: 1}, {}]
+    assert all(sum(d1[r].get(0, 0) * v for r, v in col.items()) == 0 for col in d2)
+    S2 = smith_normal_form(d2)
+    assert S2.diagonal == (1, 2) and S2.pivot_rows == {0}
+    S1 = smith_normal_form(d1)
+    cleared = smith_normal_form([{} if r in S2.pivot_rows else col for r, col in enumerate(d1)])
+    assert cleared == S1 and S1.diagonal == (1,)
+    assert (3 - S1.rank - S2.rank, S2.torsion()) == (0, (2,))  # H1 = Z/2
+    # clearing the row of a x2 entry as well drops the rank of d1 and would
+    # report a free Z in H1
+    wrong = smith_normal_form([{} if r in {0, 1} else col for r, col in enumerate(d1)])
+    assert wrong.rank == 0 and 3 - wrong.rank - S2.rank == 1
+    # the report changes neither equality nor repr
+    assert S2 == homology.SmithForm((1, 2)) and repr(S2) == "SmithForm(diagonal=(1, 2))"
 
 
 def _mixed(dense, rng, steps):
@@ -462,6 +565,51 @@ def test_torus_knots_match_closed_form(p, q):
     hat = hat_reduction(bigraded_homology(G), G.components)
     assert {(bg.maslov, bg.alexander2): r for bg, r, _ in hat.pieces} == expected
     assert not hat.has_torsion
+
+
+def _at_one_t(euler):
+    """A multivariable Euler characteristic at t_i = t, as coefficients
+    lowest first, up to a power of t."""
+    spec = {}
+    for (_, t2), c in euler.terms:
+        spec[sum(t2)] = spec.get(sum(t2), 0) + c
+    spec = {e: c for e, c in spec.items() if c}
+    if not spec:
+        return []
+    low = min(spec)
+    out = [0] * ((max(spec) - low) // 2 + 1)
+    for e, c in spec.items():
+        assert (e - low) % 2 == 0
+        out[(e - low) // 2] = c
+    return out
+
+
+def test_winding_determinant_oracle():
+    # the Euler characteristic from o_rows and x_rows alone: the knots'
+    # Alexander polynomials exactly, the links' hat Euler characteristic at
+    # t_i = t up to +-t^k.  chi telescopes out of the ranks, so this sees
+    # the gradings and the hat peel, not the signs, ranks or clearing
+    from conftest import corpus_grids
+
+    grids = list(corpus_grids())
+    for path in sorted((Path(__file__).resolve().parent.parent / "grids").glob("*.grid")):
+        try:
+            grids.append(grid.parse_grid_text(path.read_text(encoding="utf-8")))
+        except grid.GridError:
+            pass  # the deliberately broken examples
+    assert len(grids) == 478 + 4
+    knots = links = 0
+    for G in grids:
+        if G.components.l == 1:
+            knots += 1
+            got = {t2[0]: c for (_, t2), c in alexander_polynomial(G).terms}
+            assert got == oracle_alexander.alexander_polynomial(G.o_rows, G.x_rows), G
+        else:
+            chi = oracle_alexander.euler_at_t(G.o_rows, G.x_rows)
+            got = _at_one_t(hat_reduction(bigraded_homology(G), G.components).euler)
+            assert got in (chi, [-c for c in chi]), G
+            links += bool(chi)
+    assert knots == 285 and links == 32
 
 
 def test_torus_grid_shape():
