@@ -30,7 +30,7 @@ MAX_DRAWN_N = 100
 
 
 def _load_grid(path: str) -> _grid.GridDiagram:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     return _grid.parse_grid_text(text)
 
 
@@ -196,7 +196,7 @@ def _cmd_alexander(args) -> int:
 
 def _cmd_move(args) -> int:
     G = _load_grid(args.grid)
-    script = _moves.parse_script(Path(args.script).read_text(encoding="utf-8"))
+    script = _moves.parse_script(Path(args.script).read_text(encoding="utf-8-sig"))
     H = _moves.apply_script(G, script)
     # encoded before the file opens: a name that cannot be encoded leaves
     # no partial output behind

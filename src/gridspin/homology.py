@@ -9,15 +9,16 @@ of the incoming and outgoing blocks.  Within each Alexander grading the
 blocks go from the highest Maslov degree down, and a generator that the
 block above used as a unit pivot row gets an empty column unscanned
 (clearing: Chen and Kerber, Persistent homology computation with a twist,
-EuroCG 2011).  It is exact over Z: the sparse stage of
+EuroCG 2011).  It is exact over Z: the unit stage of
 ``smith_normal_form`` only adds multiples of a pivot row to other rows and
 drops the row once used, so its row operations L have L[P, not P] = 0 for
 the unit pivot rows P.  Then {L^-1 e_p : p in P} and {e_x : x not in P}
 form a basis, the first part is a boundary that d^2 = 0 kills, and the
 block's Smith form, torsion included, is that of its columns outside P.
-Dense pivots need not be units and clear nothing.  The hat reduction peels
-the free factor of each extra grid row off the bigraded ranks, and the
-Poincare, Euler and Alexander polynomials are exact Laurent polynomials.
+Pivots of the residual stage need not be units and clear nothing.  The
+hat reduction peels the free factor of each extra grid row off the
+bigraded ranks, and the Poincare, Euler and Alexander polynomials are
+exact Laurent polynomials.
 
 Alexander exponents are half-integers in general, so t-exponents are
 stored doubled throughout; q-exponents (Maslov) stay plain integers.
@@ -142,7 +143,7 @@ def equal_up_to_t_shift(p: Laurent, q: Laurent) -> tuple[int, ...] | None:
 @dataclass(frozen=True)
 class SmithForm:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix, and
-    the rows the sparse stage of ``smith_normal_form`` pivoted on (not
+    the rows the unit stage of ``smith_normal_form`` pivoted on (not
     compared, not shown)."""
 
     diagonal: tuple[int, ...]
@@ -156,89 +157,20 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def _pivot(D: list[list[int]], t: int, m: int, n: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(t, m):
-        row = D[i]
-        for j in range(t, n):
-            v = row[j]
-            if v:
-                a = abs(v)
-                if a == 1:
-                    return (i, j)
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-    return None if best is None else (best[1], best[2])
-
-
-def _dense_smith_form(D: list[list[int]], n: int) -> SmithForm:
-    """Invariant factors over Z of the m x n matrix given by its rows D,
-    which it overwrites.
-
-    Row and column operations diagonalise D.  Pivots
-    prefer entries of absolute value one, then minimal absolute value,
-    which keeps intermediate growth tame on boundary matrices.  Python
-    integers make the arithmetic exact at any size.
-    """
-    m = len(D)
-    t = 0
-    while t < min(m, n) and (pv := _pivot(D, t, m, n)) is not None:
-        while True:
-            # re-selecting the smallest pivot before every sweep keeps
-            # the gcd cascade at the pivot position and tames growth
-            i, j = pv
-            D[i], D[t] = D[t], D[i]
-            if j != t:
-                for row in D:
-                    row[j], row[t] = row[t], row[j]
-            top = D[t]
-            p = top[t]
-            zeroed = []
-            for i in range(t + 1, m):
-                q = D[i][t] // p
-                if q:
-                    D[i] = row = [a - q * b for a, b in zip(D[i], top)]
-                    if not any(row[t:]):  # columns left of t are zero below t
-                        zeroed.append(i)
-            # a zero row adds no invariant factor; it leaves the matrix so
-            # no later pivot search or sweep reads it again
-            for i in reversed(zeroed):
-                del D[i]
-            m -= len(zeroed)
-            # rows above t are zero in column t, so a column operation
-            # only touches the rows that are nonzero there
-            rows = [row for row in D[t:] if row[t]]
-            for j in range(t + 1, n):
-                q = top[j] // p
-                if q:
-                    for row in rows:
-                        row[j] -= q * row[t]
-            if not any(top[t + 1:]) and not any(row[t] for row in D[t + 1:]):
-                break
-            pv = _pivot(D, t, m, n)
-        t += 1
-
-    # diag(a, b) is equivalent to diag(gcd, lcm); one pass per position
-    # turns the diagonal into a divisibility chain
-    chain = [abs(D[i][i]) for i in range(t) if abs(D[i][i]) > 1]
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return SmithForm((1,) * (t - len(chain)) + tuple(chain))
-
-
 def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
     """Invariant factors over Z of the integer matrix whose column c is
     columns[c], a {row: value} dict of its nonzero entries.  Rows are
     whatever keys appear; an empty column, or no columns at all, is a
-    zero part of the matrix.  Two stages:
+    zero part of the matrix.  Rows are kept as {col: value} and columns as
+    sets of rows, and one loop reduces them in place, first in the unit
+    stage and then in the residual stage.  Both reduce the pivot column by
+    the same row operations, which take every other entry of the column to
+    its remainder modulo the pivot.
 
-    1. Sparse unit stage.  Rows are kept as {col: value} and columns as
-       sets of rows.  Columns are taken fewest nonzeros first from a
-       bucket queue indexed by nonzero count (an entry whose count has
-       since changed is skipped when taken); in the chosen column the
-       pivot is an entry of absolute value one in the shortest row.  Row
+    1. Unit stage.  Columns are taken fewest nonzeros first from a bucket
+       queue indexed by nonzero count (an entry whose count has since
+       changed is skipped when taken); in the chosen column the pivot is
+       an entry of absolute value one in the shortest row.  The row
        operations clear the rest of the pivot column, after which the
        pivot row and column leave the matrix.  Every step is unimodular
        and contributes the invariant factor 1.  Boundary blocks of grid
@@ -246,8 +178,17 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
        leaves nothing behind.  The pivot rows are reported as
        ``pivot_rows``; no row operation ever adds to one of them after it
        pivoted, which is what lets the homology assembly clear them.
-    2. Dense residual stage.  What is left is reduced densely and its
-       invariant factors follow the units.
+    2. Residual stage, once the queue is empty.  The smallest entry left
+       pivots (the shortest row on ties).  The row operations reduce its
+       column; once the column holds only the pivot, column operations
+       reduce its row modulo the pivot, touching that row alone.  When
+       both are clear, the pivot leaves with its row and column;
+       otherwise a smaller remainder is left and takes over.  So the
+       smallest entry left strictly shrinks between removals, and the
+       stage ends.  Its pivots are not reported: a remainder that takes
+       over adds multiples of its row to the row that pivoted before it,
+       so they lack the property that clearing needs.  Pairwise gcd and
+       lcm then turn the removed pivots into a divisibility chain.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -266,24 +207,31 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
         queue[len(members)].append(c)
     low = 1
     pivots = []
-    while low <= nrows:
-        if not queue[low]:
-            low += 1
-            continue
-        c = queue[low].pop()
-        members = cols.get(c)
-        if members is None or len(members) != low:
-            continue
-        p = min((r for r in members if rows[r][c] in (1, -1)), key=lambda r: len(rows[r]), default=None)
-        if p is None:
-            continue  # re-queued if elimination changes its count
-        top = rows.pop(p)
-        u = top[c]
-        for r in list(members):  # the loop empties column c
+    chain = []
+    while rows:
+        unit = low <= nrows
+        if unit:
+            if not queue[low]:
+                low += 1
+                continue
+            c = queue[low].pop()
+            members = cols.get(c)
+            if members is None or len(members) != low:
+                continue
+            p = min((r for r in members if rows[r][c] in (1, -1)), key=lambda r: len(rows[r]), default=None)
+            if p is None:
+                continue  # re-queued if elimination changes its count
+        else:
+            _, _, p, c = min((abs(v), len(row), r, c) for r, row in rows.items() for c, v in row.items())
+        # row operations take every other entry of column c to its
+        # remainder modulo the pivot d, so a unit is left alone there
+        top = rows[p]
+        d = top[c]
+        for r in list(cols[c]):
             if r == p:
                 continue
             row = rows[r]
-            f = row[c] * u  # row_r -= f * row_p clears column c
+            f = row[c] // d
             for j, w in top.items():
                 v = row.get(j, 0) - f * w
                 if v:
@@ -295,27 +243,43 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                     cols[j].discard(r)
             if not row:
                 del rows[r]
-        # column c now holds only the pivot, so column operations clear
-        # the rest of row p without touching any other row
-        del cols[c]
-        for j in top:
-            if j != c:
-                cols[j].discard(p)
-                if cols[j]:
-                    k = len(cols[j])
-                    queue[k].append(j)
-                    low = min(low, k)
+        if unit:
+            # column c now holds only the pivot, so column operations
+            # clear the rest of row p without touching any other row
+            del rows[p], cols[c]
+            for j in top:
+                if j != c:
+                    cols[j].discard(p)
+                    if cols[j]:
+                        k = len(cols[j])
+                        queue[k].append(j)
+                        low = min(low, k)
+                    else:
+                        del cols[j]
+            pivots.append(p)
+        elif len(cols[c]) == 1:  # else a remainder in column c is smaller than d
+            for j in [j for j in top if j != c]:
+                v = top[j] % d
+                if v:
+                    top[j] = v
                 else:
-                    del cols[j]
-        pivots.append(p)
+                    del top[j]
+                    cols[j].discard(p)
+                    if not cols[j]:
+                        del cols[j]
+            if len(top) == 1:
+                del rows[p], cols[c]
+                chain.append(abs(d))
 
-    col_index = {c: k for k, c in enumerate(cols)}
-    residual = [[0] * len(col_index) for _ in rows]
-    for dense, row in zip(residual, rows.values()):
-        for c, v in row.items():
-            dense[col_index[c]] = v
-    rest = _dense_smith_form(residual, len(col_index)).diagonal
-    return SmithForm((1,) * len(pivots) + rest, frozenset(pivots))
+    # diag(a, b) is equivalent to diag(gcd, lcm); one pass per position
+    # turns the diagonal into a divisibility chain
+    units = len(pivots) + chain.count(1)
+    chain = [d for d in chain if d > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return SmithForm((1,) * units + tuple(chain), frozenset(pivots))
 
 
 # ---------------------------------------------------------------------------

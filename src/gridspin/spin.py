@@ -35,7 +35,6 @@ preimage of k into place (factors with i_k = k are omitted).  A
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 Label = tuple[int, int]
@@ -106,7 +105,6 @@ def signature(p: Sequence[int]) -> int:
     return parity
 
 
-@lru_cache(maxsize=None)
 def canonical_word(perm: tuple[int, ...]) -> tuple[Label, ...]:
     """Column-peeling factorisation of a permutation into transpositions.
 

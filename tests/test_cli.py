@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -248,6 +249,32 @@ def test_bad_move_script(grid_file, capsys, tmp_path):
     script.write_text("commute cols 0\n")  # interleaved on the 2x2 unknot
     code, _, err = run(capsys, "move", path, "--script", str(script), "-o", str(tmp_path / "x.grid"))
     assert code == 2 and "IllegalCommutation" in err
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys, monkeypatch):
+    # Notepad and PowerShell 5 write UTF-8 with a leading byte-order mark;
+    # a grid file or a move script that has one reads as the same text
+    # without it.  Each copy sits in its own folder under the same names,
+    # so the outputs, the script name in the moved grid included, agree
+    trefoil = (ROOT / "grids" / "trefoil5.grid").read_bytes()
+    runs = {}
+    for name, head in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("t.grid").write_bytes(head + trefoil)
+        Path("s.txt").write_bytes(head + b"cyclic up\n")
+        runs[name] = [
+            run(capsys, *argv)
+            for argv in (
+                ["validate", "t.grid"],
+                ["homology", "t.grid", "--json"],
+                ["alexander", "t.grid"],
+                ["move", "t.grid", "--script", "s.txt", "-o", "out.grid"],
+            )
+        ]
+        runs[name].append(Path("out.grid").read_bytes())
+    assert runs["bom"] == runs["plain"]
+    assert [code for code, _, _ in runs["plain"][:-1]] == [0, 0, 0, 0]
 
 
 def _move_in_locale(cwd, locale_env, script, output):

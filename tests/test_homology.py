@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -337,8 +338,8 @@ def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
 def test_clearing_keeps_non_unit_pivot_rows():
     # C2 -> C1 -> C0 by hand: d2 sends e0 to r0 + 2 r1 and e1 to 2 r2, d1
     # sends r0 to -2 s0, r1 to s0 and r2 to 0, so d1 d2 = 0 and
-    # H1 = ker d1 / im d2 = Z/2.  The sparse stage pivots on the unit at
-    # r0 only; the x2 at r2 is left to the dense stage
+    # H1 = ker d1 / im d2 = Z/2.  The unit stage pivots on the unit at
+    # r0 only; the x2 at r2 is left to the residual stage
     d2 = [{0: 1, 1: 2}, {2: 2}]
     d1 = [{0: -2}, {0: 1}, {}]
     assert all(sum(d1[r].get(0, 0) * v for r, v in col.items()) == 0 for col in d2)
@@ -374,7 +375,7 @@ def _mixed(dense, rng, steps):
 def test_snf_residual_after_units():
     # a sparse +-1 block next to a block without units, mixed: the unit
     # stage can only contribute factors 1, so the torsion below must come
-    # from the dense residual stage
+    # from the residual stage
     rng = random.Random(17)
     for _ in range(6):
         p, q = rng.randint(6, 14), rng.randint(6, 14)
@@ -388,6 +389,49 @@ def test_snf_residual_after_units():
         dense[p][q] = 6  # keeps the non-unit block nonzero
         diagonal = _certified_diagonal(IntegerMatrix.from_dense(_mixed(dense, rng, 3 * (p + k))))
         assert any(d > 1 for d in diagonal)
+
+
+_NON_UNITS = (2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda m: st.lists(
+            st.dictionaries(st.integers(0, m - 1), st.sampled_from(_NON_UNITS)), min_size=1, max_size=10
+        ).map(lambda columns: (m, columns))
+    )
+)
+def test_snf_residual_phase(block):
+    # no entry is a unit, so the unit stage pivots nothing and every
+    # nonzero block is reduced by the residual stage alone
+    m, columns = block
+    entries = [(r, c, v) for c, col in enumerate(columns) for r, v in col.items()]
+    _certified_diagonal(IntegerMatrix.from_entries(m, len(columns), entries))
+    assert not smith_normal_form(columns).pivot_rows
+
+
+def test_snf_large_unit_free_block():
+    # 200 copies of diag(+-2, +-3), rows and columns shuffled: the
+    # invariant factors are 1 and 6, 200 times each.  The residual stage
+    # works on the sparse entries; a dense copy of this block alone would
+    # take about 1.3 MB
+    rng = random.Random(400)
+    rows, cols = rng.sample(range(400), 400), rng.sample(range(400), 400)
+    columns = [{} for _ in range(400)]
+    for k in range(400):
+        columns[cols[k]][rows[k]] = rng.choice((1, -1)) * (2, 3)[k % 2]
+    tracemalloc.start()
+    try:
+        S = smith_normal_form(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.diagonal == (1,) * 200 + (6,) * 200
+    assert peak < 800_000, peak
+    # a unit that a Euclid step creates is never offered for clearing
+    S = smith_normal_form([{0: 2, 1: 3}])
+    assert S.diagonal == (1,) and not S.pivot_rows
 
 
 # ---------------------------------------------------------------------------
