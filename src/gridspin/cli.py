@@ -141,16 +141,17 @@ def _cmd_check(args) -> int:
     rng = random.Random(args.seed)
     chosen = (("d2", args.d2), ("signs", args.signs), ("spin-relations", args.spin_relations), ("mod2", args.mod2))
     suites = [suite for suite, on in chosen if on] or ["d2", "signs", "mod2"]
-    # one scan per generator, shared by the suites that read rectangles
+    # one scan per generator, shared by the suites that read rectangles, and
+    # one walk over the composable pairs for both d2 and signs
     table = _cx.rectangle_table(G) if {"d2", "signs", "mod2"} & set(suites) else None
+    report = _cx.check_sign_axioms(table) if {"d2", "signs"} & set(suites) else None
     failed = False
     for suite in suites:
         if suite == "d2":
-            bad = _cx.d_squared_offenders(table)
+            bad = report.d2_offenders
             ok = not bad
             detail = "" if ok else f" ({len(bad)} offending compositions, first {bad[0]})"
         elif suite == "signs":
-            report = _cx.check_sign_axioms(table)
             ok = report.ok
             detail = (
                 f" (square {report.square_pairs}, vertical {report.vertical_annuli},"

@@ -167,16 +167,15 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     generators, ``bit`` is the central bit of section(x) * lift(label) and
     ``cells`` the scan's cell bitmask.  ``okey`` packs the O-counts (each 0
     or 1) two bits per column, so the key of a composite is the sum of two
-    keys: no column sum exceeds 2, so the sum never carries.
+    keys: no column sum exceeds 2, so the sum never carries.  Labels and
+    cell masks are the objects of ``G.rectangle_shapes``, one per shape.
     """
     gens = list(itertools.permutations(range(G.n)))
     index = {x: i for i, x in enumerate(gens)}
-    shared: dict = {}  # labels and cell masks recur: one object each
     pack = functools.cache(lambda ocols: sum(k << 2 * c for c, k in enumerate(ocols)))
     rects = [
         [
-            (shared.setdefault(label, label), index[y], _right_mul(x, *label), pack(ocols),
-             shared.setdefault(cells, cells))
+            (label, index[y], _right_mul(x, *label), pack(ocols), cells)
             for label, y, ocols, cells in _grid.empty_rectangles(G, x)
         ]
         for x in gens
@@ -186,30 +185,22 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
 
 def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
     """Generators where the minus differential fails to square to zero
-    over Z, as (x, (w, monomial), coefficient); empty on every valid grid."""
-    gens, rects = table
-    n = len(gens[0])
-    bad = []
-    for x, terms in zip(gens, rects):
-        acc: dict[tuple[int, int], int] = {}
-        for _, y, b1, m1, _ in terms:
-            for _, w, b2, m2, _ in rects[y]:
-                key = (w, m1 + m2)
-                acc[key] = acc.get(key, 0) + (-1 if b1 ^ b2 else 1)
-        bad.extend(
-            (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k)
-            for (w, m), k in acc.items()
-            if k
-        )
-    return bad
+    over Z, as (x, (w, monomial), coefficient); empty on every valid grid.
+    The pair walk of ``check_sign_axioms`` finds them."""
+    return check_sign_axioms(table).d2_offenders
 
 
 @dataclass
 class SignAxiomReport:
+    """The sign-axiom verdict, and the d^2 offenders of the table's
+    group-law bits that the same walk finds (left out of the repr, which
+    states the sign axioms alone)."""
+
     square_pairs: int
     vertical_annuli: int
     horizontal_annuli: int
     violations: list[tuple]
+    d2_offenders: list[tuple] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -219,50 +210,89 @@ class SignAxiomReport:
 def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> SignAxiomReport:
     """Verify the square, vertical-annulus and horizontal-annulus axioms for
     the signs S(x, label) (by default those of ``sign_assignment``) on every
-    composable pair in the table.
+    composable pair in the table, and collect the d^2 offenders of the
+    table's group-law bits on the same walk.
 
     Composable pairs returning to their start are annuli (same ordered
     label twice: vertical; opposite labels: horizontal).  All other pairs
-    are grouped by (start, end, support multiset); each group must consist
-    of exactly two decompositions with opposite sign products.
+    are grouped by domain, keyed (end, support, cells covered twice); each
+    group must consist of exactly two decompositions with opposite sign
+    products.  A domain fixes the O-counts of its pairs, so a domain of two
+    decompositions with opposite group-law products adds 0 to d^2; the
+    d^2 sums of a start generator are formed, in the order of a plain
+    pair-by-pair count, only when one of its domains is of another kind or
+    its annuli do not cancel.
     """
     gens, rects = table
-    signs = [[S(x, r[0]) for r in rs] for x, rs in zip(gens, rects)]
+    # per rectangle: the group-law bit in bit 0, and bit 1 set where S is -1;
+    # one byte each, parallel to the table's records
+    codes = [bytes([bit | (S(x, label) < 0) << 1 for label, _, bit, _, _ in rs]) for x, rs in zip(gens, rects)]
     violations: list[tuple] = []
+    offenders: list[tuple] = []
     n_sq = n_v = n_h = 0
     for i, x in enumerate(gens):
-        # every domain out of x is complete once x's pairs are seen
-        domains: dict[tuple, list[tuple]] = {}
-        for (l1, y, _, _, m1), s1 in zip(rects[i], signs[i]):
-            for (l2, w, _, _, m2), s2 in zip(rects[y], signs[y]):
+        # every domain out of x is complete once x's pairs are seen; each
+        # lists the pair codes c1 ^ c2 of its decompositions
+        domains: dict[tuple, list[int]] = {}
+        add = domains.setdefault
+        annuli: dict[int, int] = {}  # d^2 sums of the pairs back to x, by okey
+        for (l1, y, _, o1, m1), c1 in zip(rects[i], codes[i]):
+            for (l2, w, _, o2, m2), c2 in zip(rects[y], codes[y]):
                 if w == i:
+                    p = c1 ^ c2
+                    annuli[o1 + o2] = annuli.get(o1 + o2, 0) + (-1 if p & 1 else 1)
                     if l2 == l1:
                         n_v += 1
-                        if s1 * s2 != -1:
-                            violations.append(("V", x, l1, l2, s1 * s2))
+                        if not p & 2:
+                            violations.append(("V", x, l1, l2, 1))
                     elif l2 == (l1[1], l1[0]):
                         n_h += 1
-                        if s1 * s2 != 1:
-                            violations.append(("H", x, l1, l2, s1 * s2))
+                        if p & 2:
+                            violations.append(("H", x, l1, l2, -1))
                     else:
                         violations.append(("loop", x, l1, l2))
                     continue
                 # each rectangle covers a cell at most once, so union and
                 # intersection fix the multiset of cells of the domain
-                key = (w, m1 | m2, m1 & m2)
-                decomps = domains.get(key)
-                if decomps is None:
-                    domains[key] = [(l1, l2, s1 * s2)]
-                else:
-                    decomps.append((l1, l2, s1 * s2))
-        for (w, _, _), decomps in domains.items():
-            if len(decomps) != 2:
-                violations.append(("Sq-count", x, gens[w], decomps))
+                add((w, m1 | m2, m1 & m2), []).append(c1 ^ c2)
+        # two decompositions with opposite products in both bits: pair
+        # codes whose XOR is 3
+        d2_clean = not any(annuli.values())
+        if d2_clean and all(len(ps) == 2 and ps[0] ^ ps[1] == 3 for ps in domains.values()):
+            n_sq += len(domains)
+            continue
+        # the failure path: walk x's pairs again for the full bookkeeping
+        acc, decomps = _pair_sums(table, codes, i)
+        if not (d2_clean and all(len(ps) == 2 and (ps[0] ^ ps[1]) & 1 for ps in domains.values())):
+            n = len(x)
+            offenders.extend(
+                (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k) for (w, m), k in acc.items() if k
+            )
+        for key, ps in domains.items():
+            if len(ps) != 2:
+                violations.append(("Sq-count", x, gens[key[0]], decomps[key]))
                 continue
             n_sq += 1
-            if decomps[0][2] != -decomps[1][2]:
-                violations.append(("Sq", x, gens[w], decomps))
-    return SignAxiomReport(n_sq, n_v, n_h, violations)
+            if not (ps[0] ^ ps[1]) & 2:
+                violations.append(("Sq", x, gens[key[0]], decomps[key]))
+    return SignAxiomReport(n_sq, n_v, n_h, violations, offenders)
+
+
+def _pair_sums(table: tuple[list, list], codes: list[bytes], i: int) -> tuple[dict, dict]:
+    """For the composable pairs out of generator i, pair by pair: the d^2
+    sums keyed (end, okey) and each domain's decompositions (l1, l2, sign
+    product), both in first-seen order."""
+    rects = table[1]
+    acc: dict[tuple[int, int], int] = {}
+    decomps: dict[tuple, list[tuple]] = {}
+    for (l1, y, _, o1, m1), c1 in zip(rects[i], codes[i]):
+        for (l2, w, _, o2, m2), c2 in zip(rects[y], codes[y]):
+            p = c1 ^ c2
+            key = (w, o1 + o2)
+            acc[key] = acc.get(key, 0) + (-1 if p & 1 else 1)
+            if w != i:
+                decomps.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, -1 if p & 2 else 1))
+    return acc, decomps
 
 
 @dataclass

@@ -7,12 +7,13 @@ permutations drawn as lattice points (i, x(i)); markers sit at cell
 centres, so every comparison between a point and a marker is a strict
 inequality that integer row and column indices decide exactly.
 
-Two per-grid tables serve the homology path, which visits every
-generator: the packed grading weight of each lattice point
+Per-grid tables serve the paths that visit every generator.  The homology
+path reads the packed grading weight of each lattice point
 (``grading_table``), summed along a depth-first walk of the permutation
 prefix tree (``graded_generators``), and for each left column and bottom
 row the smallest marker offset of each column span (``marker_caps``),
-read by the marker-free rectangle scan.
+read by the marker-free rectangle scan.  The full scan reads the label,
+O-counts and cell mask of each rectangle shape (``rectangle_shapes``).
 """
 from __future__ import annotations
 
@@ -79,6 +80,10 @@ class GridDiagram:
     @cached_property
     def marker_caps(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         return _marker_caps(self)
+
+    @cached_property
+    def rectangle_shapes(self) -> tuple[tuple[tuple[tuple[int, tuple], ...], ...], ...]:
+        return _rectangle_shapes(self)
 
 
 def validate(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> None:
@@ -327,6 +332,41 @@ def _marker_caps(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, int], ...], ...
     return tuple(caps)
 
 
+def _rectangle_shapes(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, tuple], ...], ...], ...]:
+    """shapes[a][v]: the pairs (b, per_height) for b = a + 1, a + 2, ...
+    (mod n), where per_height[h] is (label, o_counts, cells) of the
+    rectangle with label (a, b), bottom row v and height h, in the form
+    ``empty_rectangles`` returns them.  One label object serves every
+    shape with that label, and one O-counts tuple every shape with those
+    counts (a few hundred of the n^3 (n - 1) shapes at n = 8)."""
+    n = G.n
+    counts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shapes = []
+    for a in range(n):
+        labels = [(a, (a + width) % n) for width in range(1, n)]
+        per_row = []
+        for v in range(n):
+            pairs = []
+            for label in labels:
+                span = cyclic_span(a, label[1], n)
+                per_height = []
+                for h in range(n):
+                    # the rows v, ..., v + h - 1 mod n (h < n, so reducing
+                    # mod 2^n - 1 moves the bits past row n - 1 back to the bottom)
+                    rows = (((1 << h) - 1) << v) % ((1 << n) - 1)
+                    o_cols = [0] * n
+                    cells = 0
+                    for c in span:
+                        o_cols[c] = int((G.o_rows[c] - v) % n < h)
+                        cells |= rows << c * n
+                    o_cols = tuple(o_cols)
+                    per_height.append((label, counts.setdefault(o_cols, o_cols), cells))
+                pairs.append((label[1], tuple(per_height)))
+            per_row.append(tuple(pairs))
+        shapes.append(tuple(per_row))
+    return tuple(shapes)
+
+
 def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
     """The empty rectangles out of x: (label, target, o_counts, cells)
     with the O-counts indexed by column and cell (c, r) of the rectangle
@@ -340,7 +380,9 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False
     below ``lowest``.  A marker of column c in the span [a, b) lies inside
     exactly when its row offset from x[a] is below h, so the rectangle is
     marker-free exactly when h is at most the span's ``cap``; the
-    marker-free scan reads the columns b and caps from ``G.marker_caps``.
+    marker-free scan reads the columns b and caps from ``G.marker_caps``,
+    the full scan the columns b and each height's label, O-counts and
+    cells from ``G.rectangle_shapes``.
     """
     n = G.n
     x = tuple(x)
@@ -358,27 +400,17 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False
                         y[a], y[b] = x[b], xa
                         out.append(((a, b), tuple(y)))
         return out
-    o_rows = G.o_rows
-    for a in range(n):
-        xa = x[a]
+    shapes = G.rectangle_shapes
+    for a, xa in enumerate(x):
         lowest = n
-        for width in range(1, n):
-            b = (a + width) % n
+        for b, per_height in shapes[a][xa]:
             h = (x[b] - xa) % n
-            if h >= lowest:
-                continue
-            lowest = h
-            y = list(x)
-            y[a], y[b] = x[b], xa
-            # the rows xa, ..., xa + h - 1 mod n (h < n, so reducing mod
-            # 2^n - 1 moves the bits past row n - 1 back to the bottom)
-            rows = (((1 << h) - 1) << xa) % ((1 << n) - 1)
-            o_cols = [0] * n
-            cells = 0
-            for c in cyclic_span(a, b, n):
-                o_cols[c] = int((o_rows[c] - xa) % n < h)
-                cells |= rows << c * n
-            out.append(((a, b), tuple(y), tuple(o_cols), cells))
+            if h < lowest:
+                lowest = h
+                y = list(x)
+                y[a], y[b] = x[b], xa
+                label, o_cols, cells = per_height[h]
+                out.append((label, tuple(y), o_cols, cells))
     return out
 
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import oracle_pairs
 import oracle_rectangles as rects
 from oracle_signs import reversed_sign, swapped_sign
 from gridspin import complexes, grid, spin
@@ -140,6 +141,52 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
     got = d_squared_offenders(rectangle_table(G))
     assert got and got == want
     assert any(2 in mono for _, (_, mono), _ in got)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6], ids=["n<=4", "n5", "n6"])
+def test_pair_walk_matches_the_two_walk_oracle(n):
+    # the one pair walk of check_sign_axioms against the two walks of
+    # oracle_pairs, d^2 offenders in order included: the program's signs,
+    # both reference formulas, and three mutants (a flipped group-law bit,
+    # a flipped cocycle sign, a table with one record dropped)
+    if n == 4:
+        grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+    else:
+        rng = random.Random(1600 + n)
+        grids = [grid.random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
+    rng = random.Random(1616)
+    kinds = set()
+    for G in grids:
+        table = rectangle_table(G)
+        gens, per_generator = table
+        i = rng.choice([i for i, rs in enumerate(per_generator) if rs])
+        k = rng.randrange(len(per_generator[i]))
+        x0, (label0, y, bit, okey, cells) = gens[i], per_generator[i][k]
+        flipped_bit, dropped = list(per_generator), list(per_generator)
+        flipped_bit[i] = [*per_generator[i][:k], (label0, y, bit ^ 1, okey, cells), *per_generator[i][k + 1 :]]
+        dropped[i] = per_generator[i][:k] + per_generator[i][k + 1 :]
+
+        def flipped_sign(x, label):
+            s = complexes._rectangle_sign(x, label)
+            return -s if (x, label) == (x0, label0) else s
+
+        cases = {
+            "signs": (table, {}),
+            "reversed": (table, {"S": reversed_sign}),
+            "swapped": (table, {"S": swapped_sign}),
+            "flipped sign": (table, {"S": flipped_sign}),
+            "flipped bit": ((gens, flipped_bit), {}),
+            "dropped": ((gens, dropped), {}),
+        }
+        for case, (t, sign) in cases.items():
+            want = oracle_pairs.check_sign_axioms(t, **sign)
+            want.d2_offenders = oracle_pairs.d_squared_offenders(t)
+            assert check_sign_axioms(t, **sign) == want, (G, case)
+            kinds.update((case, kind) for kind, *_ in want.violations)
+            if want.d2_offenders:
+                kinds.add((case, "d2"))
+    # the mutants reach every failure path of the walk
+    assert {("flipped bit", "d2"), ("flipped sign", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
 
 
 def test_graded_d_squared_zero_all_n3():
