@@ -217,11 +217,11 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> 
     label twice: vertical; opposite labels: horizontal).  All other pairs
     are grouped by domain, keyed (end, support, cells covered twice); each
     group must consist of exactly two decompositions with opposite sign
-    products.  A domain fixes the O-counts of its pairs, so a domain of two
-    decompositions with opposite group-law products adds 0 to d^2; the
-    d^2 sums of a start generator are formed, in the order of a plain
-    pair-by-pair count, only when one of its domains is of another kind or
-    its annuli do not cancel.
+    products.  A domain fixes the O-counts of its pairs, so one of two
+    decompositions with opposite group-law products adds 0 to d^2.  A
+    start generator whose annuli cancel in d^2 and whose domains all pass
+    both tests is done; any other is walked again pair by pair, which
+    lists its violations and d^2 offenders in the order of a plain walk.
     """
     gens, rects = table
     # per rectangle: the group-law bit in bit 0, and bit 1 set where S is -1;
@@ -257,24 +257,22 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> 
                 add((w, m1 | m2, m1 & m2), []).append(c1 ^ c2)
         # two decompositions with opposite products in both bits: pair
         # codes whose XOR is 3
-        d2_clean = not any(annuli.values())
-        if d2_clean and all(len(ps) == 2 and ps[0] ^ ps[1] == 3 for ps in domains.values()):
+        if not any(annuli.values()) and all(len(ps) == 2 and ps[0] ^ ps[1] == 3 for ps in domains.values()):
             n_sq += len(domains)
             continue
-        # the failure path: walk x's pairs again for the full bookkeeping
+        # a failure: walk x's pairs again, pair by pair, to list it in order
         acc, decomps = _pair_sums(table, codes, i)
-        if not (d2_clean and all(len(ps) == 2 and (ps[0] ^ ps[1]) & 1 for ps in domains.values())):
-            n = len(x)
-            offenders.extend(
-                (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k) for (w, m), k in acc.items() if k
-            )
-        for key, ps in domains.items():
-            if len(ps) != 2:
-                violations.append(("Sq-count", x, gens[key[0]], decomps[key]))
+        n = len(x)
+        offenders.extend(
+            (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k) for (w, m), k in acc.items() if k
+        )
+        for (w, _, _), ds in decomps.items():
+            if len(ds) != 2:
+                violations.append(("Sq-count", x, gens[w], ds))
                 continue
             n_sq += 1
-            if not (ps[0] ^ ps[1]) & 2:
-                violations.append(("Sq", x, gens[key[0]], decomps[key]))
+            if ds[0][2] != -ds[1][2]:
+                violations.append(("Sq", x, gens[w], ds))
     return SignAxiomReport(n_sq, n_v, n_h, violations, offenders)
 
 
