@@ -15,7 +15,8 @@ itself:
 * mod2         - every empty rectangle, unsigned, coefficients mod 2.
 
 The whole-complex checks (d^2 = 0, the sign axioms, gauge equivalence)
-share ``rectangle_table(G)``, which scans each generator once.  The sign
+share ``rectangle_table(G)``, which scans each generator once; d^2 and the
+sign axioms also share one walk over the composable pairs.  The sign
 checks take any sign assignment as a function (x, label) -> +-1; the
 program has one, ``sign_assignment``, and reference formulas with other
 cocycle argument orders are test oracles.
