@@ -3,21 +3,17 @@
 The sign refinement comes from the spin double cover of the symmetric
 group: rectangles act by right multiplication with lifted transpositions
 and the central element is identified with -1.  The package holds only
-the program; the reference oracles it is checked against (the Clifford
-model of the double cover, the GF(2) homology, the naive rectangle
-geometry and the transform-carrying Smith form) live with the tests.
+what the command line runs; the reference oracles it is checked against
+(the Clifford model of the double cover, the GF(2) homology, the naive
+rectangle geometry, the transform-carrying Smith form, the gauge search
+between sign assignments and the minus complex on double-cover elements
+with its cyclic chain isomorphisms) live with the tests.
 """
 
 from .complexes import (
-    ChainElement,
-    check_coboundary_equivalence,
     check_sign_axioms,
-    differential_minus,
-    differential_signed,
-    graded_differential,
     rectangle_table,
     sign_assignment,
-    unsigned_differential_mod2,
 )
 from .grid import (
     ComponentData,
@@ -50,19 +46,15 @@ from .moves import (
     invariance_report,
     parse_move,
     parse_script,
-    phi_cyclic_horizontal,
-    phi_cyclic_vertical,
 )
 from .spin import (
     SpinElement,
     canonical_word,
     cocycle,
     compose,
-    inverse,
     lift,
     multiply,
     section,
-    sigma_element,
     signature,
 )
 

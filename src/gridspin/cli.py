@@ -226,22 +226,12 @@ def _cmd_invariance(args) -> int:
     return OK if report.ok else FAIL
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridspin",
         description="Integer link Floer chain complexes from grid diagrams",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument(
-        "--threads", type=positive_int, default=1, help="worker bound (accepted for interface stability)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a grid file")

@@ -1,120 +1,33 @@
-"""Differentials on the grid chain complex and the induced sign assignment.
+"""The sign assignment of the grid chain complex and its whole-complex checks.
 
 The complex is the free module over Z[U_1..U_n] on the double-cover
 elements, with the central element identified with -1; coefficients
-therefore live on plain permutations.  A ``ChainElement`` maps generators
-to sparse polynomials; a monomial is the tuple of U-exponents indexed by
-column (the variable of column c belongs to the O marker there).
+therefore live on plain permutations.  A monomial is the tuple of
+U-exponents indexed by column (the variable of column c belongs to the O
+marker there).  The rectangle through columns (a, b) out of x carries the
+group-law sign of s(x) * t(a, b), and ``sign_assignment`` gives the same
+sign by the cocycle formula.
 
-Each differential reads the one rectangle scan ``grid.empty_rectangles``
-itself:
-
-* minus        - every empty rectangle, signs from the group law;
-* signed       - every empty rectangle, signs from the cocycle formula;
-* graded       - the scan's marker-free rectangles only, group-law signs;
-* mod2         - every empty rectangle, unsigned, coefficients mod 2.
-
-The whole-complex checks (d^2 = 0, the sign axioms, gauge equivalence)
-share ``rectangle_table(G)``, which scans each generator once; d^2 and the
-sign axioms also share one walk over the composable pairs.  The sign
-checks take any sign assignment as a function (x, label) -> +-1; the
-program has one, ``sign_assignment``, and reference formulas with other
-cocycle argument orders are test oracles.
+The whole-complex checks (d^2 = 0 and the sign axioms) read
+``rectangle_table(G)``, which scans each generator once, and share one walk
+over the composable pairs.  The sign check takes any sign assignment as a
+function (x, label) -> +-1; the program has one, ``sign_assignment``, and
+reference formulas with other cocycle argument orders, the gauge search
+between assignments and the chain maps on double-cover elements are test
+oracles.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import grid as _grid
 from .grid import GridDiagram
-from .spin import Label, SpinElement, _right_mul, _transposition_cocycle, is_permutation
+from .spin import Label, _right_mul, _transposition_cocycle, is_permutation
 
-Monomial = tuple[int, ...]
-Poly = dict[Monomial, int]
 SignFn = Callable[[tuple[int, ...], Label], int]  # (x, label) -> +-1
-
-
-@dataclass
-class ChainElement:
-    """Finite map from generators to integer polynomials in the U's."""
-
-    n: int
-    terms: dict[tuple[int, ...], Poly] = field(default_factory=dict)
-
-    def add(self, perm: tuple[int, ...], mono: Monomial, coeff: int) -> None:
-        if not coeff:
-            return
-        poly = self.terms.setdefault(perm, {})
-        c = poly.get(mono, 0) + coeff
-        if c:
-            poly[mono] = c
-        else:
-            del poly[mono]
-            if not poly:
-                del self.terms[perm]
-
-    def reduced_mod2(self) -> "ChainElement":
-        out = ChainElement(self.n)
-        for perm, poly in self.terms.items():
-            for mono, c in poly.items():
-                if c % 2:
-                    out.add(perm, mono, 1)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Monomial, int]]:
-        for perm, poly in sorted(self.terms.items()):
-            for mono, c in sorted(poly.items()):
-                yield perm, mono, c
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChainElement) and self.terms == other.terms
-
-
-# ---------------------------------------------------------------------------
-# Differentials
-
-
-def differential_minus(G: GridDiagram, g: SpinElement) -> ChainElement:
-    """Sum of U^(O-counts) * (g * lift(rectangle)) over empty rectangles,
-    with the central element already identified with -1."""
-    out = ChainElement(G.n)
-    outer = -1 if g.bit else 1
-    for label, y, ocols, _ in _grid.empty_rectangles(G, g.perm):
-        out.add(y, ocols, -outer if _right_mul(g.perm, *label) else outer)
-    return out
-
-
-def graded_differential(G: GridDiagram, g: SpinElement) -> ChainElement:
-    """Only rectangles containing no marker at all contribute; preserves
-    the Alexander grading and drops the Maslov degree by one."""
-    out = ChainElement(G.n)
-    outer = -1 if g.bit else 1
-    unit = (0,) * G.n
-    for label, y in _grid.empty_rectangles(G, g.perm, marker_free=True):
-        out.add(y, unit, -outer if _right_mul(g.perm, *label) else outer)
-    return out
-
-
-def unsigned_differential_mod2(G: GridDiagram, x: tuple[int, ...]) -> ChainElement:
-    """Every empty rectangle with coefficient one over Z/2."""
-    out = ChainElement(G.n)
-    for _, y, ocols, _ in _grid.empty_rectangles(G, x):
-        out.add(y, ocols, 1)
-    return out.reduced_mod2()
-
-
-def _generator(G: GridDiagram, x) -> tuple[int, ...]:
-    """x as a tuple, after checking that it is a generator of G."""
-    x = tuple(x)
-    if len(x) != G.n or not is_permutation(x):
-        raise ValueError(f"{x} is not a generator of a grid of size {G.n}")
-    return x
 
 
 def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
@@ -127,8 +40,10 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
     rectangles.  Raises ValueError unless x is a generator of G and the
     label names an empty rectangle out of it.
     """
-    x = _generator(G, x)
+    x = tuple(x)
     n = G.n
+    if len(x) != n or not is_permutation(x):
+        raise ValueError(f"{x} is not a generator of a grid of size {n}")
     a, b = label
     if not (0 <= a < n and 0 <= b < n and a != b):
         raise ValueError(f"invalid label {label}")
@@ -146,15 +61,6 @@ def _rectangle_sign(x: tuple[int, ...], label: Label) -> int:
     # x^-1 y is the plain transposition (a b)
     eps = -1 if _grid.is_horizontally_torn(label) else 1
     return eps * _transposition_cocycle(x, *label)
-
-
-def differential_signed(G: GridDiagram, x: tuple[int, ...]) -> ChainElement:
-    """The sign-assignment form of the differential on plain generators."""
-    x = _generator(G, x)
-    out = ChainElement(G.n)
-    for label, y, ocols, _ in _grid.empty_rectangles(G, x):
-        out.add(y, ocols, _rectangle_sign(x, label))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +88,6 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
         for x in gens
     ]
     return gens, rects
-
-
-def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
-    """Generators where the minus differential fails to square to zero
-    over Z, as (x, (w, monomial), coefficient); empty on every valid grid.
-    The pair walk of ``check_sign_axioms`` finds them."""
-    return check_sign_axioms(table).d2_offenders
 
 
 @dataclass
@@ -292,44 +191,3 @@ def _pair_sums(table: tuple[list, list], codes: list[bytes], i: int) -> tuple[di
             if w != i:
                 decomps.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, -1 if p & 2 else 1))
     return acc, decomps
-
-
-@dataclass
-class CoboundaryResult:
-    gauge: dict[tuple[int, ...], int] | None
-    components: int
-    witness: tuple | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.gauge is not None
-
-
-def check_coboundary_equivalence(S1: SignFn, S2: SignFn, table: tuple[list, list]) -> CoboundaryResult:
-    """Search for f with S1(r) = f(x) f(y) S2(r) on every empty rectangle.
-
-    Propagates f over a spanning forest of the rectangle graph (one gauge
-    choice per connected component) and then checks every edge, including
-    parallel ones; a failed edge is returned as the witness.
-    """
-    gens, rects = table
-    edges = [[(r[1], S1(x, r[0]) * S2(x, r[0])) for r in rs] for x, rs in zip(gens, rects)]
-    f = [0] * len(gens)
-    components = 0
-    for start in range(len(gens)):
-        if f[start]:
-            continue
-        components += 1
-        f[start] = 1
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j, ratio in edges[i]:
-                if not f[j]:
-                    f[j] = f[i] * ratio
-                    queue.append(j)
-    for i, out in enumerate(edges):
-        for j, ratio in out:
-            if f[i] * f[j] != ratio:
-                return CoboundaryResult(None, components, witness=(gens[i], gens[j], ratio, f[i], f[j]))
-    return CoboundaryResult(dict(zip(gens, f)), components)

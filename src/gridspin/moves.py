@@ -11,10 +11,9 @@ variant letter names the corner taken by the new opposite-type marker
 row above its row).  Destabilization inverts this: it recognises a 2x2
 block holding three markers and merges it back to one.
 
-The two explicit chain isomorphisms for cyclic permutation act by group
-multiplication with the distinguished lift of the n-cycle; the harness
-verifies they commute with the differential and compares homology across
-arbitrary move sequences.
+The invariance harness compares hat homology across two grids, matching
+components up to renumbering and Alexander shift, and checks the extra
+tilde factor across a stabilization.
 """
 from __future__ import annotations
 
@@ -26,8 +25,6 @@ from . import grid as _grid
 from . import homology as _hom
 from .grid import GridDiagram
 from .homology import HomologySummary, Laurent
-from . import spin as _spin
-from .spin import SpinElement, inverse, multiply, sigma_element, signature
 
 
 class MoveError(ValueError):
@@ -271,71 +268,7 @@ def apply_script(G: GridDiagram, moves: Iterable[MoveSpec]) -> GridDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Explicit chain isomorphisms for cyclic permutation
-
-
-def phi_cyclic_vertical(G: GridDiagram, g: SpinElement) -> SpinElement:
-    """Left multiplication by the lifted n-cycle: the chain isomorphism
-    onto the complex of ``cyclic up`` applied to G (generator points move
-    one row up together with the markers)."""
-    return multiply(sigma_element(G.n), g)
-
-
-def phi_cyclic_horizontal(G: GridDiagram, g: SpinElement) -> SpinElement:
-    """Right multiplication by the inverse lifted n-cycle, weighted by
-    (-1)^(sgn(sigma) sgn(x)): the chain isomorphism onto the complex of
-    ``cyclic right`` applied to G.  The weight is absorbed into the
-    central bit since the complex identifies the central element with -1."""
-    out = multiply(g, inverse(sigma_element(G.n)))
-    weight = ((G.n - 1) & 1) * signature(g.perm)  # sgn of the n-cycle is n-1 mod 2
-    return SpinElement(out.perm, out.bit ^ (weight & 1))
-
-
-def cyclic_component_map(G: GridDiagram, direction: str) -> dict[int, int]:
-    """Component of the shifted grid matching each component of G (cyclic
-    moves permute the component numbering when columns move)."""
-    H = _cyclic(G, direction)
-    shift = {"up": 0, "down": 0, "left": -1, "right": 1}[direction]
-    out = {}
-    for c in range(G.n):
-        out[G.components.comp_of_o[c]] = H.components.comp_of_o[(c + shift) % G.n]
-    return out
-
-
-def phi_grading_shifts(G: GridDiagram, which: str) -> MoveShiftReport:
-    """Grading shifts of the cyclic chain isomorphism, with components
-    matched through the move; both maps turn out to preserve the gradings
-    on the nose, and the report makes that checkable."""
-    direction = "up" if which == "vertical" else "right"
-    phi = phi_cyclic_vertical if which == "vertical" else phi_cyclic_horizontal
-    H = _cyclic(G, direction)
-    cmap = cyclic_component_map(G, direction)
-    l = G.components.l
-    m_shifts = set()
-    a_shifts = set()
-    for x in itertools.permutations(range(G.n)):
-        img = phi(G, _spin.section(x))
-        m_g, a_g = _grid._gradings(G, x)
-        m_h, a_h = _grid._gradings(H, img.perm)
-        m_shifts.add(m_h - m_g)
-        a_shifts.add(tuple(a_h[cmap[j + 1] - 1] - a_g[j] for j in range(l)))
-    return MoveShiftReport(
-        maslov_shift=m_shifts.pop() if len(m_shifts) == 1 else None,
-        alexander2_shift=a_shifts.pop() if len(a_shifts) == 1 else None,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Invariance harness
-
-
-@dataclass
-class MoveShiftReport:
-    """Grading behaviour of a chain map across a move: constant shifts or
-    None when the shift is not constant across generators."""
-
-    maslov_shift: int | None
-    alexander2_shift: tuple[int, ...] | None
 
 
 @dataclass

@@ -226,14 +226,6 @@ def multiply(g: SpinElement, h: SpinElement) -> SpinElement:
     return SpinElement(tuple(perm), bit)
 
 
-def inverse(g: SpinElement) -> SpinElement:
-    """The inverse; multiply(g, inverse(g)) is the identity with bit 0."""
-    w = inverse_perm(g.perm)
-    residue = multiply(g, SpinElement(w, 0))
-    assert residue.perm == identity(g.n)
-    return SpinElement(w, residue.bit)
-
-
 def cocycle(p: Sequence[int], q: Sequence[int]) -> int:
     """The {+1,-1}-valued 2-cocycle measuring s(p)*s(q) = c(p,q)*s(p*q).
 
@@ -258,12 +250,3 @@ def _transposition_cocycle(perm: tuple[int, ...], a: int, b: int) -> int:
     if a > b:
         a, b = b, a
     return -1 if _right_mul(perm, a, b) else 1
-
-
-def sigma_element(n: int) -> SpinElement:
-    """The distinguished lift t(0,1)*t(1,2)*...*t(n-2,n-1) of the n-cycle."""
-    perm, bit = list(range(n)), 0
-    for i in range(n - 1):
-        bit ^= _right_mul(perm, i, i + 1)
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return SpinElement(tuple(perm), bit)

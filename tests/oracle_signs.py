@@ -13,8 +13,14 @@ words, and these two formulas show that it matters:
   convention.  It fails the annulus axioms.
 
 Both have the ``(x, label) -> +-1`` shape that ``check_sign_axioms`` and
-``check_coboundary_equivalence`` take.
+``check_coboundary_equivalence`` take; the latter, the gauge search
+between two sign assignments, lives here too.
 """
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from gridspin.complexes import SignFn
 from gridspin.grid import is_horizontally_torn
 from gridspin.spin import cocycle, inverse_perm, transposition
 
@@ -29,3 +35,45 @@ def reversed_sign(x, label):
 
 def swapped_sign(x, label):
     return _eps(label) * cocycle(transposition(len(x), *label), x)
+
+
+@dataclass
+class CoboundaryResult:
+    gauge: dict[tuple[int, ...], int] | None
+    components: int
+    witness: tuple | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.gauge is not None
+
+
+def check_coboundary_equivalence(S1: SignFn, S2: SignFn, table: tuple[list, list]) -> CoboundaryResult:
+    """Search for f with S1(r) = f(x) f(y) S2(r) on every empty rectangle
+    of a ``gridspin.complexes.rectangle_table``.
+
+    Propagates f over a spanning forest of the rectangle graph (one gauge
+    choice per connected component) and then checks every edge, including
+    parallel ones; a failed edge is returned as the witness.
+    """
+    gens, rects = table
+    edges = [[(r[1], S1(x, r[0]) * S2(x, r[0])) for r in rs] for x, rs in zip(gens, rects)]
+    f = [0] * len(gens)
+    components = 0
+    for start in range(len(gens)):
+        if f[start]:
+            continue
+        components += 1
+        f[start] = 1
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j, ratio in edges[i]:
+                if not f[j]:
+                    f[j] = f[i] * ratio
+                    queue.append(j)
+    for i, out in enumerate(edges):
+        for j, ratio in out:
+            if f[i] * f[j] != ratio:
+                return CoboundaryResult(None, components, witness=(gens[i], gens[j], ratio, f[i], f[j]))
+    return CoboundaryResult(dict(zip(gens, f)), components)

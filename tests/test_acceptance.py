@@ -9,11 +9,12 @@ import math
 import random
 import time
 
+import oracle_chain
 import oracle_clifford
 import oracle_mod2
 import oracle_rectangles
 import random_moves
-from oracle_signs import reversed_sign, swapped_sign
+from oracle_signs import check_coboundary_equivalence, reversed_sign, swapped_sign
 
 from gridspin import complexes, grid, homology, moves, spin
 
@@ -152,9 +153,7 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
         table = complexes.rectangle_table(G)
         report = complexes.check_sign_axioms(table, reversed_sign)
         assert report.ok, (G, report.violations[:3])
-        res = complexes.check_coboundary_equivalence(
-            lambda x, l: complexes.sign_assignment(G, x, l), reversed_sign, table
-        )
+        res = check_coboundary_equivalence(lambda x, l: complexes.sign_assignment(G, x, l), reversed_sign, table)
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
             for label, y, _, _ in grid.empty_rectangles(G, x):
@@ -247,29 +246,25 @@ def test_criterion_09_explicit_chain_isomorphisms():
             up = moves.apply_move(G, moves.MoveSpec("cyclic", direction="up"))
             right = moves.apply_move(G, moves.MoveSpec("cyclic", direction="right"))
             elems = [spin.SpinElement(p, bit) for p in itertools.permutations(range(n)) for bit in (0, 1)]
-            assert len({moves.phi_cyclic_vertical(G, g) for g in elems}) == len(elems)
-            assert len({moves.phi_cyclic_horizontal(G, g) for g in elems}) == len(elems)
+            assert len({oracle_chain.phi_cyclic_vertical(G, g) for g in elems}) == len(elems)
+            assert len({oracle_chain.phi_cyclic_horizontal(G, g) for g in elems}) == len(elems)
             for which in ("vertical", "horizontal"):
-                shifts = moves.phi_grading_shifts(G, which)
-                assert shifts.maslov_shift == 0
-                assert shifts.alexander2_shift == (0,) * G.components.l
-            for perm in itertools.permutations(range(n)):
-                for bit in (0, 1):
-                    x = spin.SpinElement(perm, bit)
-                    for phi, H, mono_map in (
-                        (moves.phi_cyclic_vertical, up, lambda m: m),
-                        (
-                            moves.phi_cyclic_horizontal,
-                            right,
-                            lambda m: tuple(m[(c - 1) % n] for c in range(n)),
-                        ),
-                    ):
-                        lhs = complexes.differential_minus(H, phi(G, x))
-                        rhs = complexes.ChainElement(n)
-                        for y, mono, c in complexes.differential_minus(G, x):
-                            iy = phi(G, spin.SpinElement(y, 0))
-                            rhs.add(iy.perm, mono_map(mono), c * (-1 if iy.bit else 1))
-                        assert lhs == rhs, (G, x, phi.__name__)
+                assert oracle_chain.grading_shifts(G, which) == {(0,) * (G.components.l + 1)}
+            for x in elems:
+                for phi, H, mono_map in (
+                    (oracle_chain.phi_cyclic_vertical, up, lambda m: m),
+                    (
+                        oracle_chain.phi_cyclic_horizontal,
+                        right,
+                        lambda m: tuple(m[(c - 1) % n] for c in range(n)),
+                    ),
+                ):
+                    lhs = oracle_chain.differential_minus(H, phi(G, x))
+                    rhs = {}
+                    for (y, mono), c in oracle_chain.differential_minus(G, x).items():
+                        iy = phi(G, spin.SpinElement(y, 0))
+                        oracle_chain.add_term(rhs, (iy.perm, mono_map(mono)), c * (-1 if iy.bit else 1))
+                    assert lhs == rhs, (G, x, phi.__name__)
     _report(9, "cyclic chain isomorphisms", t0, f"{grids} grids (n = 2, 3, 4), zero grading shifts")
 
 

