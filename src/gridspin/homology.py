@@ -170,25 +170,31 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
     1. Unit stage.  Columns are taken fewest nonzeros first from a bucket
        queue indexed by nonzero count (an entry whose count has since
        changed is skipped when taken); in the chosen column the pivot is
-       an entry of absolute value one in the shortest row.  The row
-       operations clear the rest of the pivot column, after which the
-       pivot row and column leave the matrix.  Every step is unimodular
-       and contributes the invariant factor 1.  Boundary blocks of grid
-       complexes have almost only +-1 entries, so this stage usually
-       leaves nothing behind.  The pivot rows are reported as
-       ``pivot_rows``; no row operation ever adds to one of them after it
-       pivoted, which is what lets the homology assembly clear them.
-    2. Residual stage, once the queue is empty.  The smallest entry left
-       pivots (the shortest row on ties).  The row operations reduce its
+       an entry of absolute value one in the shortest row (the first one
+       met on ties).  The row operations clear the rest of the pivot
+       column, after which the pivot row and column leave the matrix.
+       When the pivot is alone in its row, as about half of them are on
+       boundary blocks, those row operations only delete the other
+       entries of the pivot column, so the step does just that, with no
+       arithmetic.  Every step is unimodular and contributes the
+       invariant factor 1.  Boundary blocks of grid complexes have almost
+       only +-1 entries, so this stage usually leaves nothing behind.
+       The pivot rows are reported as ``pivot_rows``; no row operation
+       ever adds to one of them after it pivoted, which is what lets the
+       homology assembly clear them.
+    2. Residual stage, once the queue is empty.  At its start and after
+       each removal, the smallest entry left pivots (the shortest row on
+       ties).  The row operations reduce its
        column; once the column holds only the pivot, column operations
        reduce its row modulo the pivot, touching that row alone.  When
-       both are clear, the pivot leaves with its row and column;
-       otherwise a smaller remainder is left and takes over.  So the
-       smallest entry left strictly shrinks between removals, and the
-       stage ends.  Its pivots are not reported: a remainder that takes
-       over adds multiples of its row to the row that pivoted before it,
-       so they lack the property that clearing needs.  Pairwise gcd and
-       lcm then turn the removed pivots into a divisibility chain.
+       both are clear, the pivot leaves with its row and column.
+       Otherwise the smallest remainder left in the column, or else in
+       the row, pivots next without a scan of the matrix; it is smaller
+       than the pivot before it, so the stage ends.  Its pivots are not
+       reported: a remainder that takes over adds multiples of its row
+       to the row that pivoted before it, so they lack the property that
+       clearing needs.  Pairwise gcd and lcm then turn the removed pivots
+       into a divisibility chain.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -208,6 +214,7 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
     low = 1
     pivots = []
     chain = []
+    after = None  # the residual pivot a Euclid step left behind
     while rows:
         unit = low <= nrows
         if unit:
@@ -218,11 +225,31 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
             members = cols.get(c)
             if members is None or len(members) != low:
                 continue
-            p = min((r for r in members if rows[r][c] in (1, -1)), key=lambda r: len(rows[r]), default=None)
+            # the first shortest row with a unit in column c; a row holds
+            # at most one entry per live column
+            p, best = None, len(cols) + 1
+            for r in members:
+                row = rows[r]
+                if len(row) < best and row[c] in (1, -1):
+                    p, best = r, len(row)
+                    if best == 1:
+                        break
             if p is None:
                 continue  # re-queued if elimination changes its count
-        else:
+            if best == 1:
+                # the pivot is alone in its row, so the row operations
+                # only delete entry c from the other rows of column c
+                for r in cols.pop(c):
+                    row = rows[r]
+                    del row[c]
+                    if not row:
+                        del rows[r]
+                pivots.append(p)
+                continue
+        elif after is None:
             _, _, p, c = min((abs(v), len(row), r, c) for r, row in rows.items() for c, v in row.items())
+        else:
+            p, c = after
         # row operations take every other entry of column c to its
         # remainder modulo the pivot d, so a unit is left alone there
         top = rows[p]
@@ -232,6 +259,8 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                 continue
             row = rows[r]
             f = row[c] // d
+            if not f:  # a pivot taken from row p can exceed |row[c]|
+                continue
             for j, w in top.items():
                 v = row.get(j, 0) - f * w
                 if v:
@@ -257,7 +286,10 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                     else:
                         del cols[j]
             pivots.append(p)
-        elif len(cols[c]) == 1:  # else a remainder in column c is smaller than d
+        elif len(cols[c]) > 1:
+            # the smallest remainder in column c is smaller than d
+            after = min((abs(rows[r][c]), len(rows[r]), r) for r in cols[c] if r != p)[2], c
+        else:
             for j in [j for j in top if j != c]:
                 v = top[j] % d
                 if v:
@@ -270,6 +302,9 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
             if len(top) == 1:
                 del rows[p], cols[c]
                 chain.append(abs(d))
+                after = None
+            else:  # the smallest remainder in row p is smaller than d
+                after = p, min((abs(v), len(cols[j]), j) for j, v in top.items() if j != c)[2]
 
     # diag(a, b) is equivalent to diag(gcd, lcm); one pass per position
     # turns the diagonal into a divisibility chain
@@ -352,13 +387,15 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         for c, x in enumerate(by_grading[bg]):
             column: dict[int, int] = {}
             if c not in skip:
-                for label, y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
+                for (a, b), y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
                     r = targets[y]
-                    v = column.get(r, 0) + (-1 if _right_mul(x, *label) else 1)
-                    if v:
-                        column[r] = v
-                    else:
-                        del column[r]
+                    v = -1 if _right_mul(x, a, b) else 1
+                    if r in column:  # only on split grids
+                        v += column[r]
+                        if not v:
+                            del column[r]
+                            continue
+                    column[r] = v
             columns.append(column)
         S = smith_normal_form(columns)
         if S.pivot_rows:

@@ -276,8 +276,9 @@ def _uncleared_pieces(G):
 
 
 def _clearing_grids():
-    """Every grid with n <= 4, 20 seeded n = 5 grids, and the first two
-    seeded n = 6 grids of each component count 1, 2 and 3.  Pivot rows
+    """Every grid with n <= 4, 20 seeded n = 5 grids, the first two
+    seeded n = 6 grids of each component count 1, 2 and 3, and one seeded
+    n = 7 knot, the size of the benchmark's largest workload.  Pivot rows
     filed under the wrong block agree with the full blocks on every grid
     with n <= 5 but not at n = 6."""
     yield from (G for n in (2, 3, 4) for G in grid.all_grids(n))
@@ -290,6 +291,8 @@ def _clearing_grids():
         if wanted.get(G.components.l):
             wanted[G.components.l] -= 1
             yield G
+    rng = random.Random(607)
+    yield next(G for G in iter(lambda: grid.random_grid(7, rng), None) if G.components.l == 1)
 
 
 def test_clearing_matches_full_blocks():
@@ -299,7 +302,7 @@ def test_clearing_matches_full_blocks():
     for G in _clearing_grids():
         assert list(bigraded_homology(G).pieces) == _uncleared_pieces(G), G
         count += 1
-    assert count == 230 + 20 + 6
+    assert count == 230 + 20 + 6 + 1
 
 
 def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
@@ -432,6 +435,57 @@ def test_snf_large_unit_free_block():
     # a unit that a Euclid step creates is never offered for clearing
     S = smith_normal_form([{0: 2, 1: 3}])
     assert S.diagonal == (1,) and not S.pivot_rows
+
+
+def test_snf_dense_unit_free_block():
+    # half of a 30 x 30 block filled without units: every pivot comes from
+    # the residual stage, through long runs of remainders that take over
+    rng = random.Random(30)
+    dense = [[rng.choice(_NON_UNITS) if rng.random() < 0.5 else 0 for _ in range(30)] for _ in range(30)]
+    _certified_diagonal(IntegerMatrix.from_dense(dense))
+
+
+def test_snf_pivot_row_is_the_first_shortest_unit_row():
+    # three unit rows of one entry each: the first of the column's row set
+    assert smith_normal_form([{0: 1, 1: -1, 2: 1}]).pivot_rows == {0}
+    # the last column is taken first; its rows tie at two entries
+    assert smith_normal_form([{0: 1, 1: 1}, {0: 1, 1: 1}]).pivot_rows == {0}
+    # row 0 has two entries and row 2 three, so row 0 pivots in column 3
+    columns = [{0: 1, 3: 1}, {2: 1, 3: 1}, {2: 1, 4: 1}, {0: 1, 2: 1}]
+    assert smith_normal_form(columns).pivot_rows == {0, 3, 4}
+
+
+_SPARSE = (1, -1, 1, -1, 2, -2, 3, -3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda m: st.lists(
+            st.dictionaries(st.integers(0, m - 1), st.sampled_from(_SPARSE), min_size=1, max_size=3),
+            min_size=1,
+            max_size=12,
+        ).map(lambda columns: (m, columns))
+    )
+)
+def test_snf_sparse_mixed_blocks(block):
+    # few entries over many rows, so many rows hold one entry and the
+    # unit stage often pivots on a unit alone in its row; the +-2 and +-3
+    # entries it leaves go to the residual stage
+    m, columns = block
+    entries = [(r, c, v) for c, col in enumerate(columns) for r, v in col.items()]
+    _certified_diagonal(IntegerMatrix.from_entries(m, len(columns), entries))
+    # a unit pivot row held, when it pivoted, its row of the input plus
+    # multiples of earlier pivot rows, a unit in its pivot column and
+    # zeros in the earlier pivot columns.  So the input's pivot rows times
+    # the pivot columns is unimodular, and the pivot rows alone have the
+    # invariant factors 1, one per row
+    P = sorted(smith_normal_form(columns).pivot_rows)
+    index = {r: i for i, r in enumerate(P)}
+    rows_P = IntegerMatrix.from_entries(
+        len(P), len(columns), [(index[r], c, v) for r, c, v in entries if r in index]
+    )
+    assert oracle_snf.smith_normal_form(rows_P).diagonal == (1,) * len(P)
 
 
 # ---------------------------------------------------------------------------
