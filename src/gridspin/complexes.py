@@ -9,12 +9,12 @@ group-law sign of s(x) * t(a, b), and ``sign_assignment`` gives the same
 sign by the cocycle formula.
 
 The whole-complex checks (d^2 = 0 and the sign axioms) read
-``rectangle_table(G)``, which scans each generator once, and share one walk
-over the composable pairs.  The sign check takes any sign assignment as a
-function (x, label) -> +-1; the program has one, ``sign_assignment``, and
-reference formulas with other cocycle argument orders, the gauge search
-between assignments and the chain maps on double-cover elements are test
-oracles.
+``rectangle_table(G)``, which scans and peels each generator once, and
+share one walk over the composable pairs.  The sign check takes any sign
+assignment one generator at a time, as a function x -> (label -> +-1); the
+program has one, the signs of ``sign_assignment``, and reference formulas
+with other cocycle argument orders, the gauge search between assignments
+and the chain maps on double-cover elements are test oracles.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from typing import Callable
 
 from . import grid as _grid
 from .grid import GridDiagram
-from .spin import Label, _right_mul, _transposition_cocycle, is_permutation
+from .spin import Label, _peel, _right_mul, _transposition_cocycle, is_permutation
 
-SignFn = Callable[[tuple[int, ...], Label], int]  # (x, label) -> +-1
+SignFn = Callable[[tuple[int, ...]], Callable[[Label], int]]  # x -> (label -> +-1)
 
 
 def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
@@ -52,15 +52,20 @@ def sign_assignment(G: GridDiagram, x: tuple[int, ...], label: Label) -> int:
     h = (x[b] - x[a]) % n
     if any((x[c] - x[a]) % n < h for c in _grid.cyclic_span(a, b, n)[1:]):
         raise ValueError(f"rectangle {label} out of {x} is not empty")
-    return _rectangle_sign(x, label)
+    return _rectangle_signs(x)(label)
 
 
-def _rectangle_sign(x: tuple[int, ...], label: Label) -> int:
-    """``sign_assignment`` for a label already known to name an empty
-    rectangle out of the generator x."""
-    # x^-1 y is the plain transposition (a b)
-    eps = -1 if _grid.is_horizontally_torn(label) else 1
-    return eps * _transposition_cocycle(x, *label)
+def _rectangle_signs(x: tuple[int, ...]) -> Callable[[Label], int]:
+    """``sign_assignment`` out of the generator x, for labels already known
+    to name empty rectangles out of it; x is peeled once for all of them."""
+    peeled = _peel(x)
+
+    def sign(label: Label) -> int:
+        # x^-1 y is the plain transposition (a b)
+        eps = -1 if _grid.is_horizontally_torn(label) else 1
+        return eps * _transposition_cocycle(peeled, *label)
+
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +76,22 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     """(generators, rectangles): the generators in ``itertools.permutations``
     order and per generator, in scan order, a record (label, target, bit,
     okey, cells) for each empty rectangle.  ``target`` indexes the
-    generators, ``bit`` is the central bit of section(x) * lift(label) and
-    ``cells`` the scan's cell bitmask.  ``okey`` packs the O-counts (each 0
-    or 1) two bits per column, so the key of a composite is the sum of two
-    keys: no column sum exceeds 2, so the sum never carries.  Labels and
-    cell masks are the objects of ``G.rectangle_shapes``, one per shape.
+    generators, ``bit`` is the central bit of section(x) * lift(label), read
+    from one peel of x, and ``cells`` the scan's cell bitmask.  ``okey``
+    packs the O-counts (each 0 or 1) two bits per column, so the key of a
+    composite is the sum of two keys: no column sum exceeds 2, so the sum
+    never carries.  Labels and cell masks are the objects of
+    ``G.rectangle_shapes``, one per shape.
     """
     gens = list(itertools.permutations(range(G.n)))
     index = {x: i for i, x in enumerate(gens)}
     pack = functools.cache(lambda ocols: sum(k << 2 * c for c, k in enumerate(ocols)))
     rects = [
         [
-            (label, index[y], _right_mul(x, *label), pack(ocols), cells)
+            (label, index[y], _right_mul(peeled, *label), pack(ocols), cells)
             for label, y, ocols, cells in _grid.empty_rectangles(G, x)
         ]
-        for x in gens
+        for x, peeled in zip(gens, map(_peel, gens))
     ]
     return gens, rects
 
@@ -107,9 +113,9 @@ class SignAxiomReport:
         return not self.violations
 
 
-def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> SignAxiomReport:
+def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) -> SignAxiomReport:
     """Verify the square, vertical-annulus and horizontal-annulus axioms for
-    the signs S(x, label) (by default those of ``sign_assignment``) on every
+    the signs S(x)(label) (by default those of ``sign_assignment``) on every
     composable pair in the table, and collect the d^2 offenders of the
     table's group-law bits on the same walk.
 
@@ -126,7 +132,7 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> 
     gens, rects = table
     # per rectangle: the group-law bit in bit 0, and bit 1 set where S is -1;
     # one byte each, parallel to the table's records
-    codes = [bytes([bit | (S(x, label) < 0) << 1 for label, _, bit, _, _ in rs]) for x, rs in zip(gens, rects)]
+    codes = [bytes([bit | (s(label) < 0) << 1 for label, _, bit, _, _ in rs]) for s, rs in zip(map(S, gens), rects)]
     violations: list[tuple] = []
     offenders: list[tuple] = []
     n_sq = n_v = n_h = 0

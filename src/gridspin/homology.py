@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from . import grid as _grid
 from .grid import ComponentData, GridDiagram
-from .spin import _right_mul
+from .spin import _peel, _right_mul
 
 
 class NotDivisible(ArithmeticError):
@@ -373,16 +373,18 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         columns = []
         for c, x in enumerate(by_grading[bg]):
             column: dict[int, int] = {}
-            if c not in skip:
-                for (a, b), y in _grid.empty_rectangles(G, x, marker_free=True):  # y is one Maslov degree down
-                    r = targets[y]
-                    v = -1 if _right_mul(x, a, b) else 1
-                    if r in column:  # only on split grids
-                        v += column[r]
-                        if not v:
-                            del column[r]
-                            continue
-                    column[r] = v
+            rects = () if c in skip else _grid.empty_rectangles(G, x, marker_free=True)
+            if rects:
+                peeled = _peel(x)  # one peel serves every sign out of x
+            for (a, b), y in rects:  # y is one Maslov degree down
+                r = targets[y]
+                v = -1 if _right_mul(peeled, a, b) else 1
+                if r in column:  # only on split grids
+                    v += column[r]
+                    if not v:
+                        del column[r]
+                        continue
+                column[r] = v
             columns.append(column)
         S = smith_normal_form(columns)
         if S.pivot_rows:

@@ -31,6 +31,14 @@ factorisation
 obtained by peeling, for k = n-1 down to 0, the factor that moves the
 preimage of k into place (factors with i_k = k are omitted).  A
 ``SpinElement`` stores the pair ``(x, u)``.
+
+Right multiplication s(x) * t(a, b) pushes the lift down through these
+factors, top level first.  Each step peels the working permutation (it
+finds the position of the top value and swaps that value into place) and
+rewrites the label by the conjugation rule.  The peel reads only the
+permutation, never the label, so its steps depend on x alone: ``_peel``
+tabulates them once per permutation, and ``_right_mul`` reads the central
+bit of any label from that table by a short relabel walk.
 """
 from __future__ import annotations
 
@@ -117,61 +125,74 @@ def canonical_word(perm: tuple[int, ...]) -> tuple[Label, ...]:
     >>> canonical_word((0, 1, 2))
     ()
     """
-    x = list(perm)
-    word = []
-    for k in range(len(perm) - 1, 0, -1):
-        i = x.index(k)
-        if i != k:
-            word.append((i, k))
-            x[i], x[k] = x[k], x[i]
-    word.reverse()
-    return tuple(word)
+    _, P, _ = _peel(perm)
+    return tuple((P[k], k) for k in range(len(perm)) if P[k] != k)
 
 
 # ---------------------------------------------------------------------------
 # Normal-form core
 
 
-def _right_mul(perm: Sequence[int], a: int, b: int) -> int:
-    """Normal form of s(perm) * t(a, b); returns phi in {0,1}, the
-    exponent of z in s(perm) * t(a,b) = z^phi * s(perm * (a b)).  The
-    permutation perm * (a b) swaps the values of perm at a and b; callers
-    that need it swap them themselves.
+def _peel(perm: Sequence[int]) -> tuple[Sequence[int], list[int], list[int]]:
+    """The peel table (perm, P, S) of a permutation.
 
-    The loop peels the top canonical factor of perm and pushes the lift
-    through it with the conjugation rule.  Each pass either ends the
-    reduction (the lift matches the peeled factor and squares to z, or it
-    lands in canonical position) or makes the working permutation fix the
-    top position, after which the top strips off.  The label keeps its
-    indices while being pushed except when it contains the top index,
-    which the conjugation replaces by the peeled position.
+    P[k] is the position peeled at level k (the factor (P[k] k) of the
+    canonical word), or k when level k has no factor; S[k] is the parity
+    of the number of factors at levels >= k.  Level k finds the position
+    p of the value k in the working permutation and moves the value at k
+    to p.  The search is ``list.index``, which at the sizes a grid complex
+    can reach (n! generators) costs less than keeping an inverse array up
+    to date in Python.
+
+    >>> _peel((1, 2, 0))[1:]
+    ([0, 0, 1], [0, 0, 1])
     """
+    x = list(perm)
+    P = list(range(len(x)))
+    S = [0] * len(x)
+    parity = 0
+    for k in range(len(x) - 1, -1, -1):
+        p = x.index(k)
+        if p != k:
+            P[k] = p
+            x[p] = x[k]
+            parity ^= 1
+        S[k] = parity
+    return perm, P, S
+
+
+def _right_mul(peeled: tuple, a: int, b: int) -> int:
+    """Normal form of s(perm) * t(a, b), for peeled = _peel(perm); returns
+    phi in {0,1}, the exponent of z in s(perm) * t(a,b) = z^phi *
+    s(perm * (a b)).  The permutation perm * (a b) swaps the values of
+    perm at a and b; callers that need it swap them themselves.
+
+    Pushing the lift t(a, b), a < b, down through the canonical factors
+    costs one z per factor it passes.  Above level b the label keeps its
+    indices.  At level b there are three cases: no factor, and the lift
+    sits in canonical position; the factor (a b) itself, whose square is
+    z; or a factor (p b) with p != a, and conjugation turns the label into
+    (a, p) if a < p, or into (p, a) at the cost of one more z.  The walk
+    goes on from the new larger index, so the result is that relabel
+    count plus the number of factors at levels >= the final b, S[b].
+
+    >>> _right_mul(_peel((1, 0)), 0, 1), _right_mul(_peel((1, 0)), 1, 0)
+    (1, 0)
+    """
+    _, P, S = peeled
     bit = 0
     if a > b:
         a, b = b, a
         bit = 1
-    x = list(perm)
-    m = len(x)
-    while True:
-        top = m - 1
-        if x[top] == top:
-            if b == top:
-                break  # canonical append: s(x) * t(a, top) is already normal
-            m -= 1
-            continue
-        p = x.index(top)
-        if a == p and b == top:
-            bit ^= 1  # t(p, top)^2 = z
-            break
-        bit ^= 1  # conjugation past the peeled factor t(p, top)
-        x[p], x[top] = x[top], x[p]
-        if b == top:
-            if a < p:
-                b = p
-            else:
-                a, b = p, a
-                bit ^= 1
-    return bit
+    p = P[b]
+    while p != b and p != a:
+        if a < p:
+            b = p
+        else:
+            a, b = p, a
+            bit ^= 1
+        p = P[b]
+    return bit ^ S[b]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +242,7 @@ def multiply(g: SpinElement, h: SpinElement) -> SpinElement:
         raise ValueError(f"size mismatch: {g.n} vs {h.n}")
     perm, bit = list(g.perm), g.bit ^ h.bit
     for a, b in canonical_word(h.perm):
-        bit ^= _right_mul(perm, a, b)
+        bit ^= _right_mul(_peel(perm), a, b)
         perm[a], perm[b] = perm[b], perm[a]
     return SpinElement(tuple(perm), bit)
 
@@ -238,15 +259,15 @@ def cocycle(p: Sequence[int], q: Sequence[int]) -> int:
     return -1 if prod.bit else 1
 
 
-def _transposition_cocycle(perm: tuple[int, ...], a: int, b: int) -> int:
-    """c(perm, (a b)) in one normal-form step, without checks.
+def _transposition_cocycle(peeled: tuple, a: int, b: int) -> int:
+    """c(perm, (a b)) in one normal-form step, for peeled = _peel(perm),
+    without checks.
 
     The canonical word of a transposition is its single factor
     (min, max), so s((a b)) = t(min, max) and s(perm) * s((a b)) is one
     right multiplication: c(perm, (a b)) = (-1)^phi for
-    phi = _right_mul(perm, min, max).  perm must be a permutation and
-    a != b indices of it.
+    phi = _right_mul(peeled, min, max).  a != b must be indices of perm.
     """
     if a > b:
         a, b = b, a
-    return -1 if _right_mul(perm, a, b) else 1
+    return -1 if _right_mul(peeled, a, b) else 1

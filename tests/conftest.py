@@ -4,8 +4,8 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from oracle_spin import right_mul
 from gridspin import grid as _grid
-from gridspin.spin import _right_mul
 
 
 def corpus_grids():
@@ -36,7 +36,10 @@ def corpus_verdicts():
     """One pass over the corpus feeding acceptance criteria 2, 4 and 5:
     the differential squares to zero over Z, its mod-2 reduction matches
     the unsigned rectangle count, and the cocycle sign formula (right
-    argument order) reproduces the group-law sign of every rectangle."""
+    argument order) reproduces the group-law sign of every rectangle.  The
+    group-law signs come from the peeling loop of ``oracle_spin``, so the
+    sign formula's peel table is checked against an independent normal
+    form."""
     from gridspin import complexes as _cx
 
     out = CorpusVerdicts()
@@ -51,7 +54,7 @@ def corpus_verdicts():
                 # monomial of a composite (at most 2 per column) is the
                 # sum of its two packed monomials, without carries
                 mono = sum(k << 2 * c for c, k in enumerate(ocols))
-                terms.append((label, y, mono, -1 if _right_mul(x, *label) else 1))
+                terms.append((label, y, mono, -1 if right_mul(x, *label) else 1))
             raw[x] = terms
         for x, terms in raw.items():
             out.rectangles += len(terms)

@@ -17,7 +17,8 @@ import itertools
 
 from gridspin import grid
 from gridspin.moves import MoveSpec, apply_move
-from gridspin.spin import SpinElement, _right_mul, identity, inverse_perm, multiply, section, signature
+from gridspin.spin import SpinElement, identity, inverse_perm, multiply, section, signature
+from oracle_spin import right_mul
 
 
 def add_term(chain: dict, key: tuple, coeff: int) -> None:
@@ -34,7 +35,7 @@ def differential_minus(G: grid.GridDiagram, g: SpinElement) -> dict:
     out: dict = {}
     outer = -1 if g.bit else 1
     for label, y, ocols, _ in grid.empty_rectangles(G, g.perm):
-        add_term(out, (y, ocols), -outer if _right_mul(g.perm, *label) else outer)
+        add_term(out, (y, ocols), -outer if right_mul(g.perm, *label) else outer)
     return out
 
 
@@ -42,7 +43,7 @@ def sigma_element(n: int) -> SpinElement:
     """The distinguished lift t(0,1)*t(1,2)*...*t(n-2,n-1) of the n-cycle."""
     perm, bit = list(range(n)), 0
     for i in range(n - 1):
-        bit ^= _right_mul(perm, i, i + 1)
+        bit ^= right_mul(perm, i, i + 1)
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     return SpinElement(tuple(perm), bit)
 

@@ -16,7 +16,7 @@ has the production type, with its ``d2_offenders`` left empty.
 """
 from __future__ import annotations
 
-from gridspin.complexes import SignAxiomReport, SignFn, _rectangle_sign
+from gridspin.complexes import SignAxiomReport, SignFn, _rectangle_signs
 
 
 def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
@@ -39,11 +39,11 @@ def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
     return bad
 
 
-def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_sign) -> SignAxiomReport:
+def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) -> SignAxiomReport:
     """The square, vertical-annulus and horizontal-annulus axioms for the
-    signs S(x, label) on every composable pair in the table."""
+    signs S(x)(label) on every composable pair in the table."""
     gens, rects = table
-    signs = [[S(x, r[0]) for r in rs] for x, rs in zip(gens, rects)]
+    signs = [[s(r[0]) for r in rs] for s, rs in zip(map(S, gens), rects)]
     violations: list[tuple] = []
     n_sq = n_v = n_h = 0
     for i, x in enumerate(gens):

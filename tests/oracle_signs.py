@@ -12,7 +12,7 @@ words, and these two formulas show that it matters:
 * ``swapped_sign``: eps(r) * c(t, x), the bare argument swap under this
   convention.  It fails the annulus axioms.
 
-Both have the ``(x, label) -> +-1`` shape that ``check_sign_axioms`` and
+Both have the ``x -> (label -> +-1)`` shape that ``check_sign_axioms`` and
 ``check_coboundary_equivalence`` take; the latter, the gauge search
 between two sign assignments, lives here too.
 """
@@ -29,12 +29,13 @@ def _eps(label):
     return -1 if is_horizontally_torn(label) else 1
 
 
-def reversed_sign(x, label):
-    return _eps(label) * cocycle(transposition(len(x), *label), inverse_perm(x))
+def reversed_sign(x):
+    x_inv = inverse_perm(x)
+    return lambda label: _eps(label) * cocycle(transposition(len(x), *label), x_inv)
 
 
-def swapped_sign(x, label):
-    return _eps(label) * cocycle(transposition(len(x), *label), x)
+def swapped_sign(x):
+    return lambda label: _eps(label) * cocycle(transposition(len(x), *label), x)
 
 
 @dataclass
@@ -57,7 +58,7 @@ def check_coboundary_equivalence(S1: SignFn, S2: SignFn, table: tuple[list, list
     parallel ones; a failed edge is returned as the witness.
     """
     gens, rects = table
-    edges = [[(r[1], S1(x, r[0]) * S2(x, r[0])) for r in rs] for x, rs in zip(gens, rects)]
+    edges = [[(r[1], s1(r[0]) * s2(r[0])) for r in rs] for s1, s2, rs in zip(map(S1, gens), map(S2, gens), rects)]
     f = [0] * len(gens)
     components = 0
     for start in range(len(gens)):

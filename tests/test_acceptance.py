@@ -153,11 +153,11 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
         table = complexes.rectangle_table(G)
         report = complexes.check_sign_axioms(table, reversed_sign)
         assert report.ok, (G, report.violations[:3])
-        res = check_coboundary_equivalence(lambda x, l: complexes.sign_assignment(G, x, l), reversed_sign, table)
+        res = check_coboundary_equivalence(lambda x: lambda l: complexes.sign_assignment(G, x, l), reversed_sign, table)
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
             for label, y, _, _ in grid.empty_rectangles(G, x):
-                if complexes.sign_assignment(G, x, label) != reversed_sign(x, label):
+                if complexes.sign_assignment(G, x, label) != reversed_sign(x)(label):
                     differs = True
         if not complexes.check_sign_axioms(table, swapped_sign).ok:
             swapped_fails = True

@@ -106,8 +106,9 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
     x0, label0 = (1, 0, 2, 3, 4), (0, 1)
     right_mul = spin._right_mul
 
-    def flipped(x, a, b):
-        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
+    def flipped(peeled, a, b):
+        # the peel table carries its generator first
+        return right_mul(peeled, a, b) ^ ((peeled[0], (a, b)) == (x0, label0))
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
     path = grid_file("t.grid", grid.trefoil5())
@@ -127,9 +128,9 @@ def test_check_reports_a_flipped_cocycle_sign(grid_file, capsys, monkeypatch):
     x0, label0 = (1, 0, 2, 3, 4), (0, 1)
     cocycle = spin._transposition_cocycle
 
-    def flipped(x, a, b):
-        c = cocycle(x, a, b)
-        return -c if (tuple(x), (a, b)) == (x0, label0) else c
+    def flipped(peeled, a, b):
+        c = cocycle(peeled, a, b)
+        return -c if (peeled[0], (a, b)) == (x0, label0) else c
 
     monkeypatch.setattr(complexes, "_transposition_cocycle", flipped)
     path = grid_file("t.grid", grid.trefoil5())

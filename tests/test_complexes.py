@@ -6,6 +6,7 @@ import pytest
 
 import oracle_pairs
 import oracle_rectangles as rects
+import oracle_spin
 from oracle_chain import differential_minus
 from oracle_signs import check_coboundary_equivalence, reversed_sign, swapped_sign
 from gridspin import complexes, grid, spin
@@ -54,10 +55,11 @@ def test_rectangle_sign_is_the_cocycle_formula():
     grids += [grid.random_grid(5, rng) for _ in range(3)]
     for G in grids:
         for x in itertools.permutations(range(G.n)):
+            signs = complexes._rectangle_signs(x)
             for label, *_ in grid.empty_rectangles(G, x):
                 eps = -1 if grid.is_horizontally_torn(label) else 1
                 want = eps * spin.cocycle(x, spin.transposition(G.n, *label))
-                assert complexes._rectangle_sign(x, label) == want, (G, x, label)
+                assert signs(label) == want, (G, x, label)
 
 
 def test_unknot_graded_differential_vanishes():
@@ -77,7 +79,7 @@ def test_rectangle_table_matches_the_scan():
             for label, y, bit, okey, cells in records
         ]
         scan = grid.empty_rectangles(G, x)
-        assert unpacked == [(label, y, spin._right_mul(x, *label), o, cells) for label, y, o, cells in scan]
+        assert unpacked == [(label, y, oracle_spin.right_mul(x, *label), o, cells) for label, y, o, cells in scan]
 
 
 def test_d_squared_zero_all_n3():
@@ -87,20 +89,24 @@ def test_d_squared_zero_all_n3():
 
 def test_d_squared_offenders_report_monomials(monkeypatch):
     # flip the group-law sign of one rectangle: the offenders, with their
-    # monomials as tuples, must equal a plain recomputation of d^2; this
-    # rectangle's composites include U-exponents of 2
+    # monomials as tuples, must equal a plain recomputation of d^2 from the
+    # peeling loop; this rectangle's composites include U-exponents of 2
     from gridspin import complexes
 
     G = grid.trefoil5()
     x0, label0 = (1, 0, 2, 3, 4), (0, 1)
     right_mul = spin._right_mul
 
-    def flipped(x, a, b):
-        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
+    def flipped(peeled, a, b):
+        # the peel table carries its generator first
+        return right_mul(peeled, a, b) ^ ((peeled[0], (a, b)) == (x0, label0))
+
+    def flipped_oracle(x, label):
+        return oracle_spin.right_mul(x, *label) ^ ((x, label) == (x0, label0))
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
     d = {
-        x: [(y, -1 if flipped(x, *label) else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
+        x: [(y, -1 if flipped_oracle(x, label) else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
         for x in itertools.permutations(range(G.n))
     }
     want = []
@@ -139,9 +145,9 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
         flipped_bit[i] = [*per_generator[i][:k], (label0, y, bit ^ 1, okey, cells), *per_generator[i][k + 1 :]]
         dropped[i] = per_generator[i][:k] + per_generator[i][k + 1 :]
 
-        def flipped_sign(x, label):
-            s = complexes._rectangle_sign(x, label)
-            return -s if (x, label) == (x0, label0) else s
+        def flipped_sign(x):
+            s = complexes._rectangle_signs(x)
+            return lambda label: -s(label) if (x, label) == (x0, label0) else s(label)
 
         cases = {
             "signs": (table, {}),
@@ -169,7 +175,7 @@ def test_graded_d_squared_zero_all_n3():
             dd = {}
             for l1, y in grid.empty_rectangles(G, x, marker_free=True):
                 for l2, w in grid.empty_rectangles(G, y, marker_free=True):
-                    dd[w] = dd.get(w, 0) + (-1 if spin._right_mul(x, *l1) ^ spin._right_mul(y, *l2) else 1)
+                    dd[w] = dd.get(w, 0) + (-1 if oracle_spin.right_mul(x, *l1) ^ oracle_spin.right_mul(y, *l2) else 1)
             assert not any(dd.values()), (G, x)
 
 
@@ -213,7 +219,7 @@ def test_sign_axiom_counts_pinned(G, counts, swapped):
     # violations, as recorded with the per-cell support bookkeeping
     table = rectangle_table(G)
     # the default signs are those of sign_assignment
-    assert check_sign_axioms(table) == check_sign_axioms(table, lambda x, l: sign_assignment(G, x, l))
+    assert check_sign_axioms(table) == check_sign_axioms(table, lambda x: lambda l: sign_assignment(G, x, l))
     for report in (check_sign_axioms(table), check_sign_axioms(table, reversed_sign)):
         assert report.ok
         assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
@@ -234,7 +240,7 @@ def test_swapped_variant_fails_annulus_axioms():
 
 def test_coboundary_trivial_gauge():
     G = grid.unknot2()
-    S = lambda x, l: sign_assignment(G, x, l)
+    S = lambda x: lambda l: sign_assignment(G, x, l)
     res = check_coboundary_equivalence(S, S, rectangle_table(G))
     assert res.ok and set(res.gauge.values()) <= {1, -1}
 
@@ -242,14 +248,17 @@ def test_coboundary_trivial_gauge():
 def test_coboundary_recovers_maslov_twist():
     G = GridDiagram(3, (1, 2, 0), (0, 1, 2))
 
-    def S1(x, label):
-        return sign_assignment(G, x, label)
+    def S1(x):
+        return lambda label: sign_assignment(G, x, label)
 
-    def S2(x, label):
-        a, b = label
-        y = list(x)
-        y[a], y[b] = y[b], y[a]
-        return S1(x, label) * (-1) ** grid.maslov(G, x) * (-1) ** grid.maslov(G, tuple(y))
+    def S2(x):
+        def sign(label):
+            a, b = label
+            y = list(x)
+            y[a], y[b] = y[b], y[a]
+            return S1(x)(label) * (-1) ** grid.maslov(G, x) * (-1) ** grid.maslov(G, tuple(y))
+
+        return sign
 
     res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
     assert res.ok
@@ -261,16 +270,16 @@ def test_coboundary_recovers_maslov_twist():
 
 def test_coboundary_right_vs_reversed_n3():
     for G in grid.all_grids(3):
-        S1 = lambda x, l: sign_assignment(G, x, l)
+        S1 = lambda x: lambda l: sign_assignment(G, x, l)
         res = check_coboundary_equivalence(S1, reversed_sign, rectangle_table(G))
         assert res.ok
 
 
 def test_coboundary_detects_inconsistency():
     G = grid.unknot2()
-    S1 = lambda x, l: sign_assignment(G, x, l)
+    S1 = lambda x: lambda l: sign_assignment(G, x, l)
     # flipping a single rectangle breaks every gauge
-    S2 = lambda x, l: S1(x, l) * (-1 if (x, l) == ((0, 1), (0, 1)) else 1)
+    S2 = lambda x: lambda l: S1(x)(l) * (-1 if (x, l) == ((0, 1), (0, 1)) else 1)
     res = check_coboundary_equivalence(S1, S2, rectangle_table(G))
     assert not res.ok and res.witness is not None
 

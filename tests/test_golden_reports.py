@@ -47,8 +47,9 @@ def reports(G) -> dict:
     label0 = grid.empty_rectangles(G, x0)[0][0]
     right_mul = spin._right_mul
 
-    def flipped(x, a, b):
-        return right_mul(x, a, b) ^ ((tuple(x), (a, b)) == (x0, label0))
+    def flipped(peeled, a, b):
+        # the peel table carries its generator first
+        return right_mul(peeled, a, b) ^ ((peeled[0], (a, b)) == (x0, label0))
 
     with mock.patch.object(complexes, "_right_mul", flipped):
         offenders = complexes.check_sign_axioms(complexes.rectangle_table(G)).d2_offenders

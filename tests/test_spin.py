@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_clifford
+import oracle_spin
 from oracle_chain import inverse, sigma_element
 from gridspin import spin
 from gridspin.spin import (
     SpinElement,
+    _peel,
     _right_mul,
     canonical_word,
     cocycle,
@@ -101,13 +103,35 @@ def test_section_projects_back():
 
 def test_right_mul_examples():
     # s(x) * t(a, b) = z^bit * s(x (a b)); a descending label costs one z
-    assert _right_mul((0, 1), 0, 1) == 0
-    assert _right_mul((1, 0), 0, 1) == 1
-    assert _right_mul((1, 0), 1, 0) == 0
+    assert _right_mul(_peel((0, 1)), 0, 1) == 0
+    assert _right_mul(_peel((1, 0)), 0, 1) == 1
+    assert _right_mul(_peel((1, 0)), 1, 0) == 0
+    # the peel table carries perm itself first, where sign mutants key on it
+    x = (2, 0, 3, 1)
+    assert _peel(x) == (x, [0, 0, 0, 2], [1, 1, 0, 1]) and _peel(x)[0] is x
     assert multiply(section((1, 0)), lift(2, (0, 1))) == SpinElement((0, 1), 1)
     assert multiply(section((1, 0)), lift(2, (1, 0))) == SpinElement((0, 1), 0)
     with pytest.raises(ValueError):
         lift(2, (0, 2))
+
+
+def test_right_mul_matches_the_peeling_loop():
+    # the relabel walk on one peel per x against the per-label peeling
+    # loop, on every x and every ordered label with n <= 7
+    for n in range(2, 8):
+        for x in itertools.permutations(range(n)):
+            peeled = _peel(x)
+            for a, b in itertools.permutations(range(n), 2):
+                assert _right_mul(peeled, a, b) == oracle_spin.right_mul(x, a, b), (x, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(perms(n), st.permutations(range(n)).map(lambda p: p[:2]))))
+def test_right_mul_matches_the_peeling_loop_large(case):
+    x, (a, b) = case
+    peeled = _peel(x)
+    assert _right_mul(peeled, a, b) == oracle_spin.right_mul(x, a, b)
+    assert _right_mul(peeled, b, a) == oracle_spin.right_mul(x, b, a)
 
 
 def test_multiply_examples():
@@ -167,7 +191,8 @@ def test_transposition_cocycle_matches_cocycle():
     for n in range(2, 6):
         for x in itertools.permutations(range(n)):
             for a, b in itertools.permutations(range(n), 2):
-                assert spin._transposition_cocycle(x, a, b) == cocycle(x, spin.transposition(n, a, b)), (x, a, b)
+                want = cocycle(x, spin.transposition(n, a, b))
+                assert spin._transposition_cocycle(_peel(x), a, b) == want, (x, a, b)
 
 
 def test_cocycle_keeps_its_permutation_checks():
@@ -253,7 +278,7 @@ def test_word_fold_matches_multiply():
         labels = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 8))]
         perm, bit = list(range(n)), 0
         for a, b in labels:
-            bit ^= _right_mul(perm, a, b)
+            bit ^= _right_mul(_peel(perm), a, b)
             perm[a], perm[b] = perm[b], perm[a]
         assert SpinElement(tuple(perm), bit) == fold_lifts(n, labels)
 
