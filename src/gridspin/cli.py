@@ -70,11 +70,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_info(args) -> int:
     G = _load_grid(args.grid)
-    comps = G.components
-    print(f"n {G.n}")
-    print(f"components {comps.l}")
-    print(f"rows_per_component {' '.join(map(str, comps.n_i))}")
-    print(_grid.ascii_art(G) if G.n <= MAX_DRAWN_N else f"drawing omitted (n > {MAX_DRAWN_N})")
     if args.generator is not None:
         try:
             x = tuple(int(p) for p in args.generator.split())
@@ -84,6 +79,12 @@ def _cmd_info(args) -> int:
         if len(x) != G.n or not _spin.is_permutation(x):
             print(f"generator must be a permutation of 0..{G.n-1}", file=sys.stderr)
             return BAD_INPUT
+    comps = G.components
+    print(f"n {G.n}")
+    print(f"components {comps.l}")
+    print(f"rows_per_component {' '.join(map(str, comps.n_i))}")
+    print(_grid.ascii_art(G) if G.n <= MAX_DRAWN_N else f"drawing omitted (n > {MAX_DRAWN_N})")
+    if args.generator is not None:
         alex = ", ".join(str(Fraction(a, 2)) for a in _grid.alexander2(G, x))
         print(f"maslov {_grid.maslov(G, x)}")
         print(f"alexander ({alex})")
@@ -164,14 +165,15 @@ def _cmd_check(args) -> int:
             ok = not failures
             detail = "" if ok else f" ({failures[0]})"
         else:
-            # a consistency check: the signed and unsigned readings of one
-            # table agree mod 2 by construction (k terms +-1 sum to k mod 2)
+            # a consistency check: the signed and unsigned sums per (target, okey), keyed
+            # y << 2n | okey (okey < 4^n), agree mod 2 by construction (k terms +-1 sum to k mod 2)
             ok, detail = True, ""
             for x, rects in zip(*table):
                 signed, unsigned = {}, {}
                 for _, y, bit, okey, _ in rects:
-                    signed[y, okey] = signed.get((y, okey), 0) + (-1 if bit else 1)
-                    unsigned[y, okey] = unsigned.get((y, okey), 0) + 1
+                    k = y << 2 * G.n | okey
+                    signed[k] = signed.get(k, 0) + (-1 if bit else 1)
+                    unsigned[k] = unsigned.get(k, 0) + 1
                 if any((signed[k] - unsigned[k]) % 2 for k in unsigned):
                     ok, detail = False, f" (mismatch at generator {x})"
                     break

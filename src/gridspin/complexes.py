@@ -77,11 +77,10 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     order and per generator, in scan order, a record (label, target, bit,
     okey, cells) for each empty rectangle.  ``target`` indexes the
     generators, ``bit`` is the central bit of section(x) * lift(label), read
-    from one peel of x, and ``cells`` the scan's cell bitmask.  ``okey``
-    packs the O-counts (each 0 or 1) two bits per column, so the key of a
-    composite is the sum of two keys: no column sum exceeds 2, so the sum
-    never carries.  Labels and cell masks are the objects of
-    ``G.rectangle_shapes``, one per shape.
+    from one peel of x, and ``cells`` the scan's 2-chain.  ``okey`` packs
+    the O-counts (each 0 or 1) two bits per column, so the key of a composite
+    is the sum of two keys, which never carries (no column sum exceeds 2).
+    Labels and cell masks are the objects of ``G.rectangle_shapes``, one per shape.
     """
     gens = list(itertools.permutations(range(G.n)))
     index = {x: i for i, x in enumerate(gens)}
@@ -121,13 +120,13 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) ->
 
     Composable pairs returning to their start are annuli (same ordered
     label twice: vertical; opposite labels: horizontal).  All other pairs
-    are grouped by domain, keyed (end, support, cells covered twice); each
-    group must consist of exactly two decompositions with opposite sign
-    products.  A domain fixes the O-counts of its pairs, so one of two
-    decompositions with opposite group-law products adds 0 to d^2.  A
-    start generator whose annuli cancel in d^2 and whose domains all pass
-    both tests is done; any other is walked again pair by pair, which
-    lists its violations and d^2 offenders in the order of a plain walk.
+    are grouped by domain, keyed by its 2-chain m1 + m2 (x and the 2-chain
+    fix the end); each group must consist of exactly two decompositions with
+    opposite sign products.  A domain fixes the O-counts of its pairs, so one
+    of two decompositions with opposite group-law products adds 0 to d^2.  A
+    start generator whose annuli cancel in d^2 and whose domains all pass both
+    tests is done; any other is walked again pair by pair, which lists its
+    violations and d^2 offenders in the order of a plain walk.
     """
     gens, rects = table
     # per rectangle: the group-law bit in bit 0, and bit 1 set where S is -1;
@@ -139,7 +138,7 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) ->
     for i, x in enumerate(gens):
         # every domain out of x is complete once x's pairs are seen; each
         # lists the pair codes c1 ^ c2 of its decompositions
-        domains: dict[tuple, list[int]] = {}
+        domains: dict[int, list[int]] = {}
         add = domains.setdefault
         annuli: dict[int, int] = {}  # d^2 sums of the pairs back to x, by okey
         for (l1, y, _, o1, m1), c1 in zip(rects[i], codes[i]):
@@ -158,9 +157,7 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) ->
                     else:
                         violations.append(("loop", x, l1, l2))
                     continue
-                # each rectangle covers a cell at most once, so union and
-                # intersection fix the multiset of cells of the domain
-                add((w, m1 | m2, m1 & m2), []).append(c1 ^ c2)
+                add(m1 + m2, []).append(c1 ^ c2)
         # two decompositions with opposite products in both bits: pair
         # codes whose XOR is 3
         if not any(annuli.values()) and all(len(ps) == 2 and ps[0] ^ ps[1] == 3 for ps in domains.values()):
@@ -172,7 +169,7 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) ->
         offenders.extend(
             (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k) for (w, m), k in acc.items() if k
         )
-        for (w, _, _), ds in decomps.items():
+        for w, ds in decomps.values():
             if len(ds) != 2:
                 violations.append(("Sq-count", x, gens[w], ds))
                 continue
@@ -183,17 +180,17 @@ def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) ->
 
 
 def _pair_sums(table: tuple[list, list], codes: list[bytes], i: int) -> tuple[dict, dict]:
-    """For the composable pairs out of generator i, pair by pair: the d^2
-    sums keyed (end, okey) and each domain's decompositions (l1, l2, sign
+    """For the composable pairs out of generator i, pair by pair: the d^2 sums
+    keyed (end, okey) and each domain's end and decompositions (l1, l2, sign
     product), both in first-seen order."""
     rects = table[1]
     acc: dict[tuple[int, int], int] = {}
-    decomps: dict[tuple, list[tuple]] = {}
+    decomps: dict[int, tuple[int, list[tuple]]] = {}
     for (l1, y, _, o1, m1), c1 in zip(rects[i], codes[i]):
         for (l2, w, _, o2, m2), c2 in zip(rects[y], codes[y]):
             p = c1 ^ c2
             key = (w, o1 + o2)
             acc[key] = acc.get(key, 0) + (-1 if p & 1 else 1)
             if w != i:
-                decomps.setdefault((w, m1 | m2, m1 & m2), []).append((l1, l2, -1 if p & 2 else 1))
+                decomps.setdefault(m1 + m2, (w, []))[1].append((l1, l2, -1 if p & 2 else 1))
     return acc, decomps

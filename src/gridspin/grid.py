@@ -13,7 +13,8 @@ path reads the packed grading weight of each lattice point
 prefix tree (``graded_generators``), and for each left column and bottom
 row the smallest marker offset of each column span (``marker_caps``),
 read by the marker-free rectangle scan.  The full scan reads the label,
-O-counts and cell mask of each rectangle shape (``rectangle_shapes``).
+O-counts and cell mask of each rectangle shape (``rectangle_shapes``): its
+2-chain, cell (c, r) at bit 2(c n + r), so two masks add with no carry.
 """
 from __future__ import annotations
 
@@ -351,14 +352,14 @@ def _rectangle_shapes(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, tuple], ..
                 span = cyclic_span(a, label[1], n)
                 per_height = []
                 for h in range(n):
-                    # the rows v, ..., v + h - 1 mod n (h < n, so reducing
-                    # mod 2^n - 1 moves the bits past row n - 1 back to the bottom)
-                    rows = (((1 << h) - 1) << v) % ((1 << n) - 1)
+                    # the rows v, ..., v + h - 1 mod n, two bits each (h < n, so reducing
+                    # mod 4^n - 1 moves the bits past row n - 1 back to the bottom)
+                    rows = ((4**h - 1) // 3 << 2 * v) % (4**n - 1)
                     o_cols = [0] * n
                     cells = 0
                     for c in span:
                         o_cols[c] = int((G.o_rows[c] - v) % n < h)
-                        cells |= rows << c * n
+                        cells |= rows << 2 * c * n
                     o_cols = tuple(o_cols)
                     per_height.append((label, counts.setdefault(o_cols, o_cols), cells))
                 pairs.append((label[1], tuple(per_height)))
@@ -369,9 +370,9 @@ def _rectangle_shapes(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, tuple], ..
 
 def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
     """The empty rectangles out of x: (label, target, o_counts, cells)
-    with the O-counts indexed by column and cell (c, r) of the rectangle
-    at bit c*n + r of the integer ``cells``, or with ``marker_free`` only
-    those containing no marker, as (label, target).
+    with the O-counts indexed by column and the rectangle's 2-chain, cell
+    (c, r) at bit 2(c*n + r) of the integer ``cells``, or with ``marker_free``
+    only those containing no marker, as (label, target).
 
     One cyclic scan per left column a: b runs through a+1, a+2, ... and
     ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the

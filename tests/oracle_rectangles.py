@@ -80,11 +80,11 @@ def marker_counts(G: GridDiagram, rect: RectangleInstance) -> tuple[tuple[int, .
 
 def cell_bitmask(G: GridDiagram, rect: RectangleInstance) -> int:
     """The rectangle's cells in the encoding of the scan's records: cell
-    (c, r) at bit c*n + r."""
-    return sum(1 << (c * G.n + r) for c, r in rect.cells())
+    (c, r) at bit 2(c*n + r), two bits per cell."""
+    return sum(1 << 2 * (c * G.n + r) for c, r in rect.cells())
 
 
 def x_counts(G: GridDiagram, cells: int) -> tuple[int, ...]:
     """Per-column count (0 or 1) of the X markers inside the rectangle
-    with the given cell bitmask."""
-    return tuple((cells >> (c * G.n + r)) & 1 for c, r in enumerate(G.x_rows))
+    with the given cell bitmask (two bits per cell)."""
+    return tuple((cells >> 2 * (c * G.n + r)) & 1 for c, r in enumerate(G.x_rows))

@@ -80,8 +80,10 @@ def test_info_output_linear_past_the_drawing_bound(grid_file, capsys):
 
 def test_info_bad_generator(grid_file, capsys):
     path = grid_file("t.grid", grid.trefoil5())
-    code, _, err = run(capsys, "info", path, "--generator", "0 0 1 2 3")
-    assert code == 2
+    # a malformed generator exits before the grid facts reach stdout
+    for generator in ("0 0 1 2 3", "a"):
+        code, out, err = run(capsys, "info", path, "--generator", generator)
+        assert code == 2 and out == "" and err, generator
 
 
 def test_check_passes(grid_file, capsys):

@@ -168,6 +168,32 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
     assert {("flipped bit", "d2"), ("flipped sign", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
 
 
+@pytest.mark.parametrize("n", [4, 5, 6], ids=["n<=4", "n5", "n6"])
+def test_domain_2chain_key_matches_the_oracle_key(n):
+    # x and a domain's 2-chain fix its end: grouping the composable pairs
+    # out of x by the sum m1 + m2 of their two-bit cell masks gives the
+    # partition that the oracle's key (w, m1 | m2, m1 & m2) gives, pairs
+    # back to x included
+    if n == 4:
+        grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+    else:
+        rng = random.Random(2000 + n)
+        grids = [grid.random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
+    covered_twice = 0
+    for G in grids:
+        gens, rects = rectangle_table(G)
+        for x, rs in zip(gens, rects):
+            by_sum, by_oracle_key = {}, {}
+            for k1, (_, y, _, _, m1) in enumerate(rs):
+                for k2, (_, w, _, _, m2) in enumerate(rects[y]):
+                    by_sum.setdefault(m1 + m2, []).append((k1, k2))
+                    by_oracle_key.setdefault((w, m1 | m2, m1 & m2), []).append((k1, k2))
+                    covered_twice += bool(m1 & m2)
+            assert list(by_sum.values()) == list(by_oracle_key.values()), (G, x)
+    # the walk reaches domains with cells of multiplicity 2
+    assert covered_twice
+
+
 def test_graded_d_squared_zero_all_n3():
     # the marker-free rectangles with group-law signs square to zero
     for G in grid.all_grids(3):
