@@ -13,7 +13,6 @@ with its cyclic chain isomorphisms) live with the tests.
 from .complexes import (
     check_sign_axioms,
     rectangle_table,
-    sign_assignment,
 )
 from .grid import (
     ComponentData,
@@ -21,7 +20,6 @@ from .grid import (
     GridError,
     alexander2,
     empty_rectangles,
-    is_horizontally_torn,
     maslov,
     parse_grid_text,
     trace_components,
@@ -55,7 +53,6 @@ from .spin import (
     lift,
     multiply,
     section,
-    signature,
 )
 
 __version__ = "0.1.0"

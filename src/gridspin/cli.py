@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verified property failed, 2 malformed input.
+Exit status: 0 success, 1 a verified property failed, 2 malformed input.
 All output is deterministic for fixed inputs and flags; randomized suites
 take an explicit --seed.
 """

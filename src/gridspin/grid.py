@@ -188,7 +188,7 @@ def _field_bits(n: int) -> int:
     """Bits per field of a packed grading key.  The Maslov degree and each
     doubled Alexander grading lie below 5 n^2 in absolute value, inside
     the 2^(bits - 1) > 8 n^2 of a field, so a generator's summed key
-    decodes exactly (``_unpack``)."""
+    reads back exactly (``_unpack``)."""
     return (8 * n * n).bit_length() + 1
 
 
@@ -300,13 +300,6 @@ def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
 def cyclic_span(a: int, b: int, n: int) -> tuple[int, ...]:
     """The half-open cyclic interval [a, b) in Z/n."""
     return tuple((a + k) % n for k in range((b - a) % n))
-
-
-def is_horizontally_torn(label: Label) -> bool:
-    """The column span wraps through the right edge of the fundamental
-    domain exactly when the label descends."""
-    a, b = label
-    return a > b
 
 
 def _marker_caps(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:

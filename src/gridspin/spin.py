@@ -85,34 +85,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[j] for j in q)
 
 
-def inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def signature(p: Sequence[int]) -> int:
-    """Parity in {0,1} of the number of transpositions in any factorisation.
-
-    >>> signature((0, 1, 2)), signature((1, 0, 2)), signature((1, 2, 0))
-    (0, 1, 0)
-    """
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 def canonical_word(perm: tuple[int, ...]) -> tuple[Label, ...]:
     """Column-peeling factorisation of a permutation into transpositions.
 
@@ -257,17 +229,3 @@ def cocycle(p: Sequence[int], q: Sequence[int]) -> int:
     """
     prod = multiply(section(p), section(q))
     return -1 if prod.bit else 1
-
-
-def _transposition_cocycle(peeled: tuple, a: int, b: int) -> int:
-    """c(perm, (a b)) in one normal-form step, for peeled = _peel(perm),
-    without checks.
-
-    The canonical word of a transposition is its single factor
-    (min, max), so s((a b)) = t(min, max) and s(perm) * s((a b)) is one
-    right multiplication: c(perm, (a b)) = (-1)^phi for
-    phi = _right_mul(peeled, min, max).  a != b must be indices of perm.
-    """
-    if a > b:
-        a, b = b, a
-    return -1 if _right_mul(peeled, a, b) else 1

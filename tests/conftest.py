@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from oracle_signs import sign_assignment
 from oracle_spin import right_mul
 from gridspin import grid as _grid
 
@@ -37,11 +38,9 @@ def corpus_verdicts():
     the differential squares to zero over Z, its mod-2 reduction matches
     the unsigned rectangle count, and the cocycle sign formula (right
     argument order) reproduces the group-law sign of every rectangle.  The
-    group-law signs come from the peeling loop of ``oracle_spin``, so the
-    sign formula's peel table is checked against an independent normal
-    form."""
-    from gridspin import complexes as _cx
-
+    group-law signs come from the peeling loop of ``oracle_spin`` and the
+    cocycle from the generic group law of ``gridspin.spin.cocycle``, two
+    independent normal forms."""
     out = CorpusVerdicts()
     for G in corpus_grids():
         out.grids += 1
@@ -77,6 +76,6 @@ def corpus_verdicts():
             if minus_mod2 != {k for k, v in parity.items() if v}:
                 out.mod2_mismatches.append((G, x))
             for label, y, mono, s in terms:
-                if _cx.sign_assignment(G, x, label) != s:
+                if sign_assignment(G, x, label) != s:
                     out.signed_mismatches.append((G, x, label))
     return out

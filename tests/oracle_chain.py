@@ -10,15 +10,42 @@ and shift no grading.
 
 A chain is a dict {(generator, monomial): coefficient} without zero
 coefficients; a monomial is the tuple of U-exponents indexed by column.
+The plain permutation inverse and sign parity that the maps need live
+here too.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from gridspin import grid
 from gridspin.moves import MoveSpec, apply_move
-from gridspin.spin import SpinElement, identity, inverse_perm, multiply, section, signature
+from gridspin.spin import SpinElement, identity, multiply, section
 from oracle_spin import right_mul
+
+
+def inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def signature(p: Sequence[int]) -> int:
+    """Parity in {0,1} of the number of transpositions in any factorisation."""
+    seen = [False] * len(p)
+    parity = 0
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
 
 
 def add_term(chain: dict, key: tuple, coeff: int) -> None:

@@ -2,7 +2,7 @@
 
 ``gridspin.complexes.check_sign_axioms`` walks every composable pair of a
 rectangle table once: it finds the sign-axiom violations and the d^2
-offenders of the table's group-law bits together, and forms per-pair sums
+offenders of the table's signs (-1)^bit together, and forms per-pair sums
 only for a start generator that has a failure.  The two walks here are
 the straightforward forms it replaced, kept as its reference:
 
@@ -11,12 +11,13 @@ the straightforward forms it replaced, kept as its reference:
 * ``check_sign_axioms`` keeps every decomposition of every domain and
   checks the annuli and the squares from the full lists.
 
-Both read a table of ``gridspin.complexes.rectangle_table``; the report
-has the production type, with its ``d2_offenders`` left empty.
+Both read a table of ``gridspin.complexes.rectangle_table``, or one whose
+bits ``oracle_signs.signed_table`` replaced; the report has the
+production type, with its ``d2_offenders`` left empty.
 """
 from __future__ import annotations
 
-from gridspin.complexes import SignAxiomReport, SignFn, _rectangle_signs
+from gridspin.complexes import SignAxiomReport
 
 
 def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
@@ -39,11 +40,11 @@ def d_squared_offenders(table: tuple[list, list]) -> list[tuple]:
     return bad
 
 
-def check_sign_axioms(table: tuple[list, list], S: SignFn = _rectangle_signs) -> SignAxiomReport:
+def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
     """The square, vertical-annulus and horizontal-annulus axioms for the
-    signs S(x)(label) on every composable pair in the table."""
+    signs (-1)^bit on every composable pair in the table."""
     gens, rects = table
-    signs = [[s(r[0]) for r in rs] for s, rs in zip(map(S, gens), rects)]
+    signs = [[-1 if r[2] else 1 for r in rs] for rs in rects]
     violations: list[tuple] = []
     n_sq = n_v = n_h = 0
     for i, x in enumerate(gens):

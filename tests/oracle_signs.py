@@ -1,10 +1,14 @@
-"""Reference sign formulas that read the cocycle in other argument orders.
+"""The program's sign formula by the generic group law, and reference
+formulas that read the cocycle in other argument orders.
 
 The program's sign of the empty rectangle r with label (a, b) out of x is
-eps(r) * c(x, t), where t = x^-1 y is the plain transposition (a b), c the
-cocycle of the double cover and eps(r) = -1 exactly for horizontally torn
-rectangles.  The argument order follows the composition convention for
-words, and these two formulas show that it matters:
+(-1)^bit, for the central bit of s(x) * t(a, b) that its rectangle table
+holds.  ``sign_assignment`` gives it in cocycle form, eps(r) * c(x, t),
+where t = x^-1 y is the plain transposition (a b), c the cocycle of the
+double cover computed by ``gridspin.spin.cocycle`` and eps(r) = -1 exactly
+for horizontally torn rectangles.  The argument order follows the
+composition convention for words, and two other formulas show that it
+matters:
 
 * ``reversed_sign``: eps(r) * c(t, x^-1), the same construction with words
   read in the opposite order.  It is a genuine sign assignment, related to
@@ -12,21 +16,57 @@ words, and these two formulas show that it matters:
 * ``swapped_sign``: eps(r) * c(t, x), the bare argument swap under this
   convention.  It fails the annulus axioms.
 
-Both have the ``x -> (label -> +-1)`` shape that ``check_sign_axioms`` and
-``check_coboundary_equivalence`` take; the latter, the gauge search
-between two sign assignments, lives here too.
+Both have the ``x -> (label -> +-1)`` shape that ``signed_table`` and
+``check_coboundary_equivalence`` take: ``signed_table`` writes a sign
+function into the bits of a rectangle table, so that
+``gridspin.complexes.check_sign_axioms`` checks it, and the latter is the
+gauge search between two sign assignments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from gridspin.complexes import SignFn
-from gridspin.grid import is_horizontally_torn
-from gridspin.spin import cocycle, inverse_perm, transposition
+from gridspin import grid
+from gridspin.spin import Label, cocycle, is_permutation, transposition
+from oracle_chain import inverse_perm
+
+SignFn = Callable[[tuple[int, ...]], Callable[[Label], int]]  # x -> (label -> +-1)
+
+
+def is_horizontally_torn(label: Label) -> bool:
+    """The column span wraps through the right edge of the fundamental
+    domain exactly when the label descends."""
+    a, b = label
+    return a > b
 
 
 def _eps(label):
     return -1 if is_horizontally_torn(label) else 1
+
+
+def sign_assignment(G: grid.GridDiagram, x: tuple[int, ...], label: Label) -> int:
+    """Sign of the empty rectangle with the given label out of x, as
+    eps(r) * c(x, t) by the generic group law.
+
+    With this argument order the cocycle form matches right multiplication
+    in the double cover, hence reproduces the minus differential exactly.
+    Raises ValueError unless x is a generator of G and the label names an
+    empty rectangle out of it.
+    """
+    x = tuple(x)
+    n = G.n
+    if len(x) != n or not is_permutation(x):
+        raise ValueError(f"{x} is not a generator of a grid of size {n}")
+    a, b = label
+    if not (0 <= a < n and 0 <= b < n and a != b):
+        raise ValueError(f"invalid label {label}")
+    # empty iff every column strictly inside (a, b) has its point above the
+    # height, by row offset from x[a] (the rule of empty_rectangles)
+    h = (x[b] - x[a]) % n
+    if any((x[c] - x[a]) % n < h for c in grid.cyclic_span(a, b, n)[1:]):
+        raise ValueError(f"rectangle {label} out of {x} is not empty")
+    return _eps(label) * cocycle(x, transposition(n, a, b))
 
 
 def reversed_sign(x):
@@ -36,6 +76,16 @@ def reversed_sign(x):
 
 def swapped_sign(x):
     return lambda label: _eps(label) * cocycle(transposition(len(x), *label), x)
+
+
+def signed_table(table: tuple[list, list], S: SignFn) -> tuple[list, list]:
+    """The rectangle table with each record's bit replaced by 1 where
+    S(x)(label) is -1, so the checks of the table read the signs of S."""
+    gens, rects = table
+    return gens, [
+        [(label, y, int(s(label) < 0), okey, cells) for label, y, _, okey, cells in rs]
+        for s, rs in zip(map(S, gens), rects)
+    ]
 
 
 @dataclass

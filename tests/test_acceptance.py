@@ -14,7 +14,7 @@ import oracle_clifford
 import oracle_mod2
 import oracle_rectangles
 import random_moves
-from oracle_signs import check_coboundary_equivalence, reversed_sign, swapped_sign
+from oracle_signs import check_coboundary_equivalence, reversed_sign, sign_assignment, signed_table, swapped_sign
 
 from gridspin import complexes, grid, homology, moves, spin
 
@@ -151,15 +151,15 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
     sample = list(grid.all_grids(3)) + [grid.random_grid(4, rng) for _ in range(30)]
     for G in sample:
         table = complexes.rectangle_table(G)
-        report = complexes.check_sign_axioms(table, reversed_sign)
+        report = complexes.check_sign_axioms(signed_table(table, reversed_sign))
         assert report.ok, (G, report.violations[:3])
-        res = check_coboundary_equivalence(lambda x: lambda l: complexes.sign_assignment(G, x, l), reversed_sign, table)
+        res = check_coboundary_equivalence(lambda x: lambda l: sign_assignment(G, x, l), reversed_sign, table)
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
             for label, y, _, _ in grid.empty_rectangles(G, x):
-                if complexes.sign_assignment(G, x, label) != reversed_sign(x)(label):
+                if sign_assignment(G, x, label) != reversed_sign(x)(label):
                     differs = True
-        if not complexes.check_sign_axioms(table, swapped_sign).ok:
+        if not complexes.check_sign_axioms(signed_table(table, swapped_sign)).ok:
             swapped_fails = True
     assert differs  # the two compliant orders are genuinely different functions
     assert swapped_fails  # the naive swap is not a sign assignment

@@ -100,9 +100,9 @@ def test_check_default_suites(grid_file, capsys):
 
 
 def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
-    # one rectangle's group-law bit flipped: d^2 fails, while the cocycle
-    # signs of the sign-axiom suite and the mod-2 consistency check, which
-    # cannot see a sign, still pass
+    # one rectangle's group-law bit flipped: d^2 and the sign axioms, which
+    # read the same bit, fail, while the mod-2 consistency check, which
+    # cannot see a sign, still passes
     from gridspin import complexes, spin
 
     x0, label0 = (1, 0, 2, 3, 4), (0, 1)
@@ -118,29 +118,8 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
     lines = out.splitlines()
     assert code == 1 and len(lines) == 3
     assert lines[0].startswith("d2: FAIL (") and lines[0].endswith(")")
-    assert lines[1:] == ["signs: pass (square 5400, vertical 600, horizontal 600)", "mod2: pass"]
-
-
-def test_check_reports_a_flipped_cocycle_sign(grid_file, capsys, monkeypatch):
-    # the mirror case: one rectangle's cocycle sign flipped fails the sign
-    # axioms only, so the signs suite reads its own cocycle, not the
-    # group-law bits of the table that d2 and mod2 read
-    from gridspin import complexes, spin
-
-    x0, label0 = (1, 0, 2, 3, 4), (0, 1)
-    cocycle = spin._transposition_cocycle
-
-    def flipped(peeled, a, b):
-        c = cocycle(peeled, a, b)
-        return -c if (peeled[0], (a, b)) == (x0, label0) else c
-
-    monkeypatch.setattr(complexes, "_transposition_cocycle", flipped)
-    path = grid_file("t.grid", grid.trefoil5())
-    code, out, _ = run(capsys, "check", path)
-    lines = out.splitlines()
-    assert code == 1 and len(lines) == 3
-    assert lines[0] == "d2: pass" and lines[2] == "mod2: pass"
     assert lines[1].startswith("signs: FAIL (first violation (") and lines[1].endswith(")")
+    assert lines[2] == "mod2: pass"
 
 
 def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
@@ -158,6 +137,23 @@ def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "check", path, "--spin-relations")[0] == 0
     assert not calls
+
+
+def test_check_peels_each_generator_once(grid_file, capsys, monkeypatch):
+    # the rectangle table's peel gives every sign that d2 and signs read
+    from gridspin import complexes
+
+    calls = []
+    peel = complexes._peel
+
+    def counted(perm):
+        calls.append(perm)
+        return peel(perm)
+
+    monkeypatch.setattr(complexes, "_peel", counted)
+    path = grid_file("t.grid", grid.trefoil5())
+    assert run(capsys, "check", path)[0] == 0
+    assert len(calls) == 120 and len(set(calls)) == 120  # 5! generators, one peel each
 
 
 def test_homology_text_and_json_deterministic(grid_file, capsys):

@@ -8,9 +8,16 @@ import oracle_pairs
 import oracle_rectangles as rects
 import oracle_spin
 from oracle_chain import differential_minus
-from oracle_signs import check_coboundary_equivalence, reversed_sign, swapped_sign
-from gridspin import complexes, grid, spin
-from gridspin.complexes import check_sign_axioms, rectangle_table, sign_assignment
+from oracle_signs import (
+    check_coboundary_equivalence,
+    is_horizontally_torn,
+    reversed_sign,
+    sign_assignment,
+    signed_table,
+    swapped_sign,
+)
+from gridspin import grid, spin
+from gridspin.complexes import check_sign_axioms, rectangle_table
 from gridspin.grid import GridDiagram
 
 
@@ -49,17 +56,17 @@ def test_signs_refuse_non_generators():
 
 
 def test_rectangle_sign_is_the_cocycle_formula():
-    # the one-step sign against eps(r) * c(x, t) by the generic group law
+    # each table bit's sign (-1)^bit against eps(r) * c(x, t) by the
+    # generic group law
     rng = random.Random(1005)
     grids = [*grid.all_grids(2), *grid.all_grids(3), *grid.all_grids(4)]
     grids += [grid.random_grid(5, rng) for _ in range(3)]
     for G in grids:
-        for x in itertools.permutations(range(G.n)):
-            signs = complexes._rectangle_signs(x)
-            for label, *_ in grid.empty_rectangles(G, x):
-                eps = -1 if grid.is_horizontally_torn(label) else 1
+        for x, records in zip(*rectangle_table(G)):
+            for label, _, bit, _, _ in records:
+                eps = -1 if is_horizontally_torn(label) else 1
                 want = eps * spin.cocycle(x, spin.transposition(G.n, *label))
-                assert signs(label) == want, (G, x, label)
+                assert (-1) ** bit == want, (G, x, label)
 
 
 def test_unknot_graded_differential_vanishes():
@@ -126,8 +133,8 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
 def test_pair_walk_matches_the_two_walk_oracle(n):
     # the one pair walk of check_sign_axioms against the two walks of
     # oracle_pairs, d^2 offenders in order included: the program's signs,
-    # both reference formulas, and three mutants (a flipped group-law bit,
-    # a flipped cocycle sign, a table with one record dropped)
+    # both reference formulas, and two mutants (a flipped group-law bit, a
+    # table with one record dropped)
     if n == 4:
         grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
     else:
@@ -144,28 +151,22 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
         flipped_bit, dropped = list(per_generator), list(per_generator)
         flipped_bit[i] = [*per_generator[i][:k], (label0, y, bit ^ 1, okey, cells), *per_generator[i][k + 1 :]]
         dropped[i] = per_generator[i][:k] + per_generator[i][k + 1 :]
-
-        def flipped_sign(x):
-            s = complexes._rectangle_signs(x)
-            return lambda label: -s(label) if (x, label) == (x0, label0) else s(label)
-
         cases = {
-            "signs": (table, {}),
-            "reversed": (table, {"S": reversed_sign}),
-            "swapped": (table, {"S": swapped_sign}),
-            "flipped sign": (table, {"S": flipped_sign}),
-            "flipped bit": ((gens, flipped_bit), {}),
-            "dropped": ((gens, dropped), {}),
+            "signs": table,
+            "reversed": signed_table(table, reversed_sign),
+            "swapped": signed_table(table, swapped_sign),
+            "flipped bit": (gens, flipped_bit),
+            "dropped": (gens, dropped),
         }
-        for case, (t, sign) in cases.items():
-            want = oracle_pairs.check_sign_axioms(t, **sign)
+        for case, t in cases.items():
+            want = oracle_pairs.check_sign_axioms(t)
             want.d2_offenders = oracle_pairs.d_squared_offenders(t)
-            assert check_sign_axioms(t, **sign) == want, (G, case)
+            assert check_sign_axioms(t) == want, (G, case)
             kinds.update((case, kind) for kind, *_ in want.violations)
             if want.d2_offenders:
                 kinds.add((case, "d2"))
     # the mutants reach every failure path of the walk
-    assert {("flipped bit", "d2"), ("flipped sign", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
+    assert {("flipped bit", "d2"), ("flipped bit", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
 
 
 @pytest.mark.parametrize("n", [4, 5, 6], ids=["n<=4", "n5", "n6"])
@@ -228,10 +229,11 @@ def test_sign_axioms_unknot_products():
     assert s((0, 1), (0, 1)) * s((1, 0), (1, 0)) == 1  # horizontal
 
 
-@pytest.mark.parametrize("sign", [{}, {"S": reversed_sign}], ids=["right", "reversed"])
+@pytest.mark.parametrize("sign", [None, reversed_sign], ids=["right", "reversed"])
 def test_sign_axioms_all_n3(sign):
     for G in grid.all_grids(3):
-        report = check_sign_axioms(rectangle_table(G), **sign)
+        table = rectangle_table(G)
+        report = check_sign_axioms(signed_table(table, sign) if sign else table)
         assert report.ok, (G, report.violations[:3])
 
 
@@ -244,12 +246,12 @@ def test_sign_axiom_counts_pinned(G, counts, swapped):
     # (square, vertical, horizontal) counts and the swapped formula's
     # violations, as recorded with the per-cell support bookkeeping
     table = rectangle_table(G)
-    # the default signs are those of sign_assignment
-    assert check_sign_axioms(table) == check_sign_axioms(table, lambda x: lambda l: sign_assignment(G, x, l))
-    for report in (check_sign_axioms(table), check_sign_axioms(table, reversed_sign)):
+    # the table's signs are those of sign_assignment
+    assert signed_table(table, lambda x: lambda l: sign_assignment(G, x, l)) == table
+    for report in (check_sign_axioms(table), check_sign_axioms(signed_table(table, reversed_sign))):
         assert report.ok
         assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
-    report = check_sign_axioms(table, swapped_sign)
+    report = check_sign_axioms(signed_table(table, swapped_sign))
     assert (report.square_pairs, report.vertical_annuli, report.horizontal_annuli) == counts
     assert len(report.violations) == swapped
     assert {kind for kind, *_ in report.violations} == {"H", "Sq", "V"}
@@ -259,7 +261,7 @@ def test_swapped_variant_fails_annulus_axioms():
     # the bare argument swap is not a sign assignment: it violates the
     # annulus axioms already on a 3x3 grid
     G = GridDiagram(3, (0, 1, 2), (1, 2, 0))
-    report = check_sign_axioms(rectangle_table(G), swapped_sign)
+    report = check_sign_axioms(signed_table(rectangle_table(G), swapped_sign))
     assert not report.ok
     assert any(kind in ("V", "H") for kind, *_ in report.violations)
 

@@ -2,8 +2,8 @@
 
 ``golden_reports.json`` holds, for every grid in ``report_grids()``, the
 sha256 of ``repr`` of the complete ``check_sign_axioms`` report for the
-package's signs and for the two reference formulas of ``oracle_signs``,
-and of its d^2 offenders with the group-law bit of one rectangle
+package's signs and for the two reference formulas of ``oracle_signs``
+(written into the table by ``signed_table``), and of its d^2 offenders with the group-law bit of one rectangle
 flipped (the first rectangle out of (1, 0, 2, ..., n-1)).  The hashes pin
 the counts and every violation list in order.  The file was recorded
 once from a known-good tree; ``python tests/test_golden_reports.py``
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from oracle_signs import reversed_sign, swapped_sign
+from oracle_signs import reversed_sign, signed_table, swapped_sign
 from gridspin import complexes, grid, spin
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,8 +40,8 @@ def reports(G) -> dict:
     table = complexes.rectangle_table(G)
     out = {
         "signs": _digest(complexes.check_sign_axioms(table)),
-        "reversed": _digest(complexes.check_sign_axioms(table, reversed_sign)),
-        "swapped": _digest(complexes.check_sign_axioms(table, swapped_sign)),
+        "reversed": _digest(complexes.check_sign_axioms(signed_table(table, reversed_sign))),
+        "swapped": _digest(complexes.check_sign_axioms(signed_table(table, swapped_sign))),
     }
     x0 = (1, 0, *range(2, G.n))
     label0 = grid.empty_rectangles(G, x0)[0][0]

@@ -5,6 +5,7 @@ import pytest
 
 import oracle_mod2
 import oracle_rectangles as rects
+from oracle_signs import is_horizontally_torn
 from gridspin import grid
 from gridspin.grid import GridDiagram, GridError
 
@@ -160,6 +161,19 @@ def test_gradings_match_oracle():
     assert sum(map(len, by_grading.values())) == 40320
 
 
+def test_unpack_round_trips_at_the_field_bound():
+    # every field at +-(5 n^2 - 1), just inside the documented bound, in
+    # every sign pattern: a key packed with _field_bits(n) bits per field
+    # decodes to the same fields
+    for n in range(2, 13):
+        bits, v = grid._field_bits(n), 5 * n * n - 1
+        for l in (1, 2, 3):
+            for signs in itertools.product((1, -1), repeat=l + 1):
+                fields = [s * v for s in signs]
+                key = sum(f << bits * j for j, f in enumerate(fields))
+                assert grid._unpack(key, bits, l) == (fields[0], tuple(fields[1:])), (n, l, signs)
+
+
 def test_alexander_parity_constant_per_component():
     import random
 
@@ -274,9 +288,9 @@ def test_marker_counts():
 
 
 def test_is_horizontally_torn():
-    assert not grid.is_horizontally_torn((0, 1))
-    assert grid.is_horizontally_torn((1, 0))
-    assert grid.is_horizontally_torn((3, 2))
+    assert not is_horizontally_torn((0, 1))
+    assert is_horizontally_torn((1, 0))
+    assert is_horizontally_torn((3, 2))
 
 
 def test_grading_drop_identities_exhaustive_n3():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_clifford
 import oracle_spin
-from oracle_chain import inverse, sigma_element
+from oracle_chain import inverse, sigma_element, signature
 from gridspin import spin
 from gridspin.spin import (
     SpinElement,
@@ -26,7 +26,6 @@ from gridspin.spin import (
     lift,
     multiply,
     section,
-    signature,
     spin_identity,
     central,
 )
@@ -186,13 +185,15 @@ def test_cocycle_values():
     assert cocycle(t23, t01) == -1
 
 
-def test_transposition_cocycle_matches_cocycle():
-    # the one-step value equals the generic formula on every ordered pair
+def test_right_mul_bit_is_the_signed_cocycle():
+    # on every ordered pair the one-step sign (-1)^bit equals eps * c(x, t)
+    # by the generic formula, with eps = -1 exactly for a descending label
     for n in range(2, 6):
         for x in itertools.permutations(range(n)):
+            peeled = _peel(x)
             for a, b in itertools.permutations(range(n), 2):
-                want = cocycle(x, spin.transposition(n, a, b))
-                assert spin._transposition_cocycle(_peel(x), a, b) == want, (x, a, b)
+                want = (-1 if a > b else 1) * cocycle(x, spin.transposition(n, a, b))
+                assert (-1) ** _right_mul(peeled, a, b) == want, (x, a, b)
 
 
 def test_cocycle_keeps_its_permutation_checks():
