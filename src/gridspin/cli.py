@@ -143,7 +143,7 @@ def _cmd_check(args) -> int:
     chosen = (("d2", args.d2), ("signs", args.signs), ("spin-relations", args.spin_relations), ("mod2", args.mod2))
     suites = [suite for suite, on in chosen if on] or ["d2", "signs", "mod2"]
     # one scan per generator, shared by the suites that read rectangles, and
-    # one walk over the composable pairs for both d2 and signs
+    # one walk over the composable pairs out of one start per translation orbit for d2 and signs
     table = _cx.rectangle_table(G) if {"d2", "signs", "mod2"} & set(suites) else None
     report = _cx.check_sign_axioms(table) if {"d2", "signs"} & set(suites) else None
     failed = False

@@ -12,9 +12,9 @@ the test suite checks against the generic group law.
 The whole-complex checks (d^2 = 0 and the sign axioms) read
 ``rectangle_table(G)``, which scans and peels each generator once, and
 share one walk over the composable pairs that reads each record's bit as
-its sign.  Reference formulas with other cocycle argument orders, the
-gauge search between assignments and the chain maps on double-cover
-elements are test oracles.
+its sign, from one start per orbit of the torus translations.  Reference
+formulas with other cocycle argument orders, the gauge search between
+assignments and the chain maps on double-cover elements are test oracles.
 """
 from __future__ import annotations
 
@@ -80,16 +80,35 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
     are grouped by domain, keyed by its 2-chain m1 + m2 (x and the 2-chain
     fix the end); each group must consist of exactly two decompositions with
     opposite sign products.  A domain fixes the O-counts of its pairs, so
-    such a domain adds 0 to d^2.  A start generator whose annuli cancel in
-    d^2 and whose domains all pass is done; any other is walked again pair
-    by pair, which lists its violations and d^2 offenders in the order of a
-    plain walk.
+    such a domain adds 0 to d^2.  Each O lies in one vertical thin annulus
+    (its column's) and one horizontal (its row's) out of every x, so
+    vertical products -1 and horizontal +1 cancel in d^2 wherever the
+    markers are.  A start whose annuli cancel and whose domains all pass
+    is done; any other is walked again pair by pair, which lists its
+    violations and d^2 offenders in the order of a plain walk.
+
+    The torus translations carry the pairs out of x to those out of its
+    translate.  Once ``_translation_gauges`` finds each bit carried to
+    itself up to a gauge g(x) ^ g(y), which cancels in a domain (both ends
+    shared) and in an annulus, one start per orbit, weighted by the orbit
+    size, decides the report; if that fails, every start is walked.
     """
     gens, rects = table
+    maps = _translation_gauges(gens, rects)
+    if maps is not None:
+        report = _walk(gens, rects, _orbits(*maps[:2]))
+        if report.ok and not report.d2_offenders:
+            return report
+    return _walk(gens, rects, ((i, 1) for i in range(len(gens))))
+
+
+def _walk(gens: list, rects: list, starts) -> SignAxiomReport:
+    """The report of the pairs out of each (start, weight), counts weighted."""
     violations: list[tuple] = []
     offenders: list[tuple] = []
     n_sq = n_v = n_h = 0
-    for i, x in enumerate(gens):
+    for i, weight in starts:
+        x = gens[i]
         # every domain out of x is complete once x's pairs are seen; each
         # lists the product bits b1 ^ b2 of its decompositions
         domains: dict[int, list[int]] = {}
@@ -101,11 +120,11 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
                     p = b1 ^ b2
                     annuli[o1 + o2] = annuli.get(o1 + o2, 0) + (-1 if p else 1)
                     if l2 == l1:
-                        n_v += 1
+                        n_v += weight
                         if not p:
                             violations.append(("V", x, l1, l2, 1))
                     elif l2 == (l1[1], l1[0]):
-                        n_h += 1
+                        n_h += weight
                         if p:
                             violations.append(("H", x, l1, l2, -1))
                     else:
@@ -113,7 +132,7 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
                     continue
                 add(m1 + m2, []).append(b1 ^ b2)
         if not any(annuli.values()) and all(len(ps) == 2 and ps[0] != ps[1] for ps in domains.values()):
-            n_sq += len(domains)
+            n_sq += len(domains) * weight
             continue
         # a failure: walk x's pairs again, pair by pair, to list it in order
         acc, decomps = _pair_sums(rects, i)
@@ -125,10 +144,57 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
             if len(ds) != 2:
                 violations.append(("Sq-count", x, gens[w], ds))
                 continue
-            n_sq += 1
+            n_sq += weight
             if ds[0][2] != -ds[1][2]:
                 violations.append(("Sq", x, gens[w], ds))
     return SignAxiomReport(n_sq, n_v, n_h, violations, offenders)
+
+
+def _translation_gauges(gens: list, rects: list) -> tuple | None:
+    """(row, col, g_row, g_col), or None on a misaligned record or a
+    mismatch: the index maps of x -> (x + 1) mod n and x -> x[1:] + x[:1],
+    and gauges g under which a record (x, l, y, b) translates to the bit
+    g(x) ^ g(y) ^ b.
+    A row translate keeps the record's place and label; a column translate
+    relabels (a, b) as (a - 1, b - 1) mod n, moving the block a = 0 last.
+    Every x but the identity (g = 0) has a descent, whose width-one strip
+    leaves an earlier x, so one pass in generator order spreads both gauges.
+    """
+    n = len(gens[0])
+    index = {x: i for i, x in enumerate(gens)}
+    row = [index[tuple((v + 1) % n for v in x)] for x in gens]
+    col = [index[x[1:] + x[:1]] for x in gens]
+    shifted = {(a, b): ((a - 1) % n, (b - 1) % n) for a in range(n) for b in range(n) if a != b}
+    unset = b"\0" + b"\2" * (len(gens) - 1)  # 2 until the pass spreads a bit there
+    g_row, g_col = bytearray(unset), bytearray(unset)
+    for i, rs in enumerate(rects):
+        gr, gc, up, left = g_row[i], g_col[i], rects[row[i]], rects[col[i]]
+        if gr > 1 or not len(rs) == len(up) == len(left):
+            return None
+        m = sum(l[0] != 0 for l, *_ in rs)
+        for (l, y, b, _, _), (ul, uy, ub, _, _), (ll, ly, lb, _, _) in zip(rs, up, left[m:] + left[:m]):
+            if ul != l or ll != shifted[l] or uy != row[y] or ly != col[y]:
+                return None
+            if g_row[y] > 1:  # the first record into y spreads both gauges there
+                g_row[y], g_col[y] = gr ^ b ^ ub, gc ^ b ^ lb
+            elif g_row[y] != gr ^ b ^ ub or g_col[y] != gc ^ b ^ lb:
+                return None
+    return row, col, g_row, g_col
+
+
+def _orbits(row: list, col: list):
+    """(start, size) per orbit of the translations, the start first in
+    generator order: the union of the row cycles through its column cycle."""
+    seen = bytearray(len(row))
+    for i in range(len(row)):
+        size, j = 0, i
+        while not seen[i] or j != i:
+            k = j
+            while not seen[k]:
+                seen[k], size, k = 1, size + 1, row[k]
+            j = col[j]
+        if size:
+            yield i, size
 
 
 def _pair_sums(rects: list, i: int) -> tuple[dict, dict]:

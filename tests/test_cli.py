@@ -122,6 +122,15 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
     assert lines[2] == "mod2: pass"
 
 
+def test_check_torus_3_5_counts(grid_file, capsys):
+    # n = 8, the largest check: one start per translation orbit, weighted by
+    # the orbit size, gives the counts of the walk over all 8! starts
+    path = grid_file("t35.grid", grid.torus_grid(3, 5))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    assert out == "d2: pass\nsigns: pass (square 7927616, vertical 322560, horizontal 322560)\nmod2: pass\n"
+
+
 def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
     calls = []
     scan = grid.empty_rectangles

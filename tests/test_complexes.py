@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -17,7 +18,7 @@ from oracle_signs import (
     swapped_sign,
 )
 from gridspin import grid, spin
-from gridspin.complexes import check_sign_axioms, rectangle_table
+from gridspin.complexes import _orbits, _translation_gauges, _walk, check_sign_axioms, rectangle_table
 from gridspin.grid import GridDiagram
 
 
@@ -133,8 +134,11 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
 def test_pair_walk_matches_the_two_walk_oracle(n):
     # the one pair walk of check_sign_axioms against the two walks of
     # oracle_pairs, d^2 offenders in order included: the program's signs,
-    # both reference formulas, and two mutants (a flipped group-law bit, a
-    # table with one record dropped)
+    # both reference formulas, and three mutants (a flipped group-law bit, a
+    # table with one record dropped, every sign +1); the genuine sign
+    # assignments take the walk over one start per translation orbit and
+    # the others fall back to the walk over every start, every sign +1
+    # after the gauge pass has held and the orbit walk has failed
     if n == 4:
         grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
     else:
@@ -157,16 +161,125 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
             "swapped": signed_table(table, swapped_sign),
             "flipped bit": (gens, flipped_bit),
             "dropped": (gens, dropped),
+            "unsigned": signed_table(table, lambda x: lambda label: 1),
         }
         for case, t in cases.items():
             want = oracle_pairs.check_sign_axioms(t)
             want.d2_offenders = oracle_pairs.d_squared_offenders(t)
             assert check_sign_axioms(t) == want, (G, case)
+            # at n = 2 the swapped formula is a sign assignment too
+            fast = case in ("signs", "reversed") or (G.n, case) == (2, "swapped")
+            assert _takes_orbit_walk(t) == fast, (G, case)
+            if case == "unsigned":
+                assert _translation_gauges(*t) is not None
             kinds.update((case, kind) for kind, *_ in want.violations)
             if want.d2_offenders:
                 kinds.add((case, "d2"))
     # the mutants reach every failure path of the walk
     assert {("flipped bit", "d2"), ("flipped bit", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
+
+
+def _takes_orbit_walk(table):
+    # check_sign_axioms stops after the orbit walk exactly when the gauge
+    # pass holds and every orbit start passes
+    maps = _translation_gauges(*table)
+    if maps is None:
+        return False
+    report = _walk(*table, _orbits(*maps[:2]))
+    return report.ok and not report.d2_offenders
+
+
+def test_gauge_pass_rejects_every_single_bit_flip():
+    # each (x, label) group-law bit of an n = 4 table flipped in turn: the
+    # gauge pass rejects the flip, and the fallback walk gives the oracle's
+    # report
+    G = grid.random_grid(4, random.Random(2204))
+    gens, rects = table = rectangle_table(G)
+    assert _translation_gauges(*table) is not None
+    flips = 0
+    for i, rs in enumerate(rects):
+        for k, (label, y, bit, okey, cells) in enumerate(rs):
+            mutant = list(rects)
+            mutant[i] = [*rs[:k], (label, y, bit ^ 1, okey, cells), *rs[k + 1 :]]
+            t = (gens, mutant)
+            assert _translation_gauges(*t) is None, (gens[i], label)
+            want = oracle_pairs.check_sign_axioms(t)
+            want.d2_offenders = oracle_pairs.d_squared_offenders(t)
+            assert check_sign_axioms(t) == want, (gens[i], label)
+            flips += 1
+    assert flips == sum(map(len, rects)) > 100
+
+
+def test_gauge_pass_rejects_row_orbit_mutants():
+    # a change made alike at every row translate of x keeps the row identity
+    # and the row alignment, so the column translation has to reject it, and
+    # check_sign_axioms then gives the walk over every start: a flipped bit,
+    # a reversed label or two records out of order on a sample of records,
+    # and every record sent to the target of another record of x (some of
+    # those keep both gauge identities, so only the column target check
+    # rejects them)
+    G = grid.random_grid(4, random.Random(2206))
+    gens, rects = table = rectangle_table(G)
+    row = _translation_gauges(*table)[0]
+    rng = random.Random(2207)
+    sample = [(i, rng.randrange(len(rects[i]) - 1)) for i in rng.sample(range(len(gens)), 8)]
+    mutations = [
+        (i, lambda rs, k=k: [*rs[:k], (rs[k][0], rs[k][1], rs[k][2] ^ 1, *rs[k][3:]), *rs[k + 1 :]])
+        for i, k in sample
+    ]
+    mutations += [(i, lambda rs, k=k: [*rs[:k], (rs[k][0][::-1], *rs[k][1:]), *rs[k + 1 :]]) for i, k in sample]
+    mutations += [(i, lambda rs, k=k: [*rs[:k], rs[k + 1], rs[k], *rs[k + 2 :]]) for i, k in sample]
+    mutations += [
+        (i, lambda rs, k=k, k2=k2: [*rs[:k], (rs[k][0], rs[k2][1], *rs[k][2:]), *rs[k + 1 :]])
+        for i, rs in enumerate(rects)
+        for k in range(len(rs))
+        for k2 in range(len(rs))
+        if rs[k2][1] != rs[k][1]
+    ]
+    for i, mutate in mutations:
+        mutant, j = list(rects), i
+        for _ in range(G.n):
+            mutant[j] = mutate(rects[j])
+            j = row[j]
+        assert _translation_gauges(gens, mutant) is None, gens[i]
+        assert check_sign_axioms((gens, mutant)) == _walk(gens, mutant, ((j, 1) for j in range(len(gens))))
+
+
+def test_translation_gauges_equal_their_closed_forms():
+    # the gauges that the pass spreads from the identity are the bit of
+    # c(sigma, x) for the row translation sigma x and the bit of
+    # c(x, rho) ^ (parity rho & parity x) for the column translation x rho,
+    # with sigma = rho = (1, 2, ..., n - 1, 0) in word form; the index maps
+    # pin the alignment of the translated records, labels and targets; and
+    # the orbits of the two translations partition the generators
+    rng = random.Random(2205)
+    parity = lambda p: len(spin.canonical_word(p)) % 2
+    grids = [grid.random_grid(n, rng) for n in range(2, 7)] + [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+    for G in grids:
+        n = G.n
+        shift = tuple(range(1, n)) + (0,)
+        gens, rects = rectangle_table(G)
+        row, col, g_row, g_col = _translation_gauges(gens, rects)
+        for i, x in enumerate(gens):
+            assert gens[row[i]] == spin.compose(shift, x) and gens[col[i]] == spin.compose(x, shift)
+            assert g_row[i] == (spin.cocycle(shift, x) == -1), x
+            assert g_col[i] == (spin.cocycle(x, shift) == -1) ^ (parity(shift) & parity(x)), x
+            up = [(l, spin.compose(shift, gens[y])) for l, y, *_ in rects[i]]
+            assert [(l, gens[y]) for l, y, *_ in rects[row[i]]] == up
+            left = [(((a - 1) % n, (b - 1) % n), spin.compose(gens[y], shift)) for (a, b), y, *_ in rects[i]]
+            k = sum(a == 0 for (a, _), *_ in rects[i])
+            assert [(l, gens[y]) for l, y, *_ in rects[col[i]]] == left[k:] + left[:k]
+        orbits = list(_orbits(row, col))
+        for start, size in orbits:
+            orbit, j = set(), start
+            for _ in range(n):
+                k = j
+                for _ in range(n):
+                    orbit.add(k)
+                    k = row[k]
+                j = col[j]
+            assert len(orbit) == size and min(orbit) == start
+        assert sum(size for _, size in orbits) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6], ids=["n<=4", "n5", "n6"])
