@@ -165,18 +165,9 @@ def _cmd_check(args) -> int:
             ok = not failures
             detail = "" if ok else f" ({failures[0]})"
         else:
-            # a consistency check: the signed and unsigned sums per (target, okey), keyed
-            # y << 2n | okey (okey < 4^n), agree mod 2 by construction (k terms +-1 sum to k mod 2)
-            ok, detail = True, ""
-            for x, rects in zip(*table):
-                signed, unsigned = {}, {}
-                for _, y, bit, okey, _ in rects:
-                    k = y << 2 * G.n | okey
-                    signed[k] = signed.get(k, 0) + (-1 if bit else 1)
-                    unsigned[k] = unsigned.get(k, 0) + 1
-                if any((signed[k] - unsigned[k]) % 2 for k in unsigned):
-                    ok, detail = False, f" (mismatch at generator {x})"
-                    break
+            x = _cx.mod2_mismatch(table)
+            ok = x is None
+            detail = "" if ok else f" (mismatch at generator {x})"
         print(f"{suite}: {'pass' if ok else 'FAIL'}{detail}")
         failed |= not ok
     return FAIL if failed else OK

@@ -9,20 +9,20 @@ group-law sign of s(x) * t(a, b), (-1)^bit for the central bit of that
 product; it equals eps(r) * c(x, t), the cocycle form of the sign, which
 the test suite checks against the generic group law.
 
-The whole-complex checks (d^2 = 0 and the sign axioms) read
-``rectangle_table(G)``, which scans and peels each generator once, and
-share one walk over the composable pairs that reads each record's bit as
-its sign, from one start per orbit of the torus translations.  Reference
+The whole-complex checks (d^2 = 0, the sign axioms and the mod-2
+consistency check) read ``rectangle_table(G)``, which scans every empty
+rectangle of each generator, markers and all, and peels it once; the
+record layout is built and read only in this module.  d^2 and the sign
+axioms share one walk over the composable pairs that reads each record's
+bit as its sign, from one start per orbit of the torus translations.  Reference
 formulas with other cocycle argument orders, the gauge search between
 assignments and the chain maps on double-cover elements are test oracles.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
-from . import grid as _grid
 from .grid import GridDiagram
 from .spin import _peel, _right_mul
 
@@ -36,22 +36,83 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     order and per generator, in scan order, a record (label, target, bit,
     okey, cells) for each empty rectangle.  ``target`` indexes the
     generators, ``bit`` is the central bit of section(x) * lift(label), read
-    from one peel of x, and ``cells`` the scan's 2-chain.  ``okey`` packs
-    the O-counts (each 0 or 1) two bits per column, so the key of a composite
+    from one peel of x, and ``cells`` is the rectangle's 2-chain, cell (c, r)
+    at bit 2(c n + r), so two masks add with no carry.  ``okey`` packs the
+    O-counts (each 0 or 1) two bits per column, so the key of a composite
     is the sum of two keys, which never carries (no column sum exceeds 2).
-    Labels and cell masks are the objects of ``G.rectangle_shapes``, one per shape.
+
+    One cyclic scan per left column a: b runs through a+1, a+2, ... and
+    ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the
+    columns c passed so far.  Offsets of distinct columns differ, so
+    (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
+    below ``lowest``.  Label, okey and cells come from ``_shapes``, built
+    once per call, so every record of one shape shares their objects.
     """
-    gens = list(itertools.permutations(range(G.n)))
+    n = G.n
+    gens = list(itertools.permutations(range(n)))
     index = {x: i for i, x in enumerate(gens)}
-    pack = functools.cache(lambda ocols: sum(k << 2 * c for c, k in enumerate(ocols)))
-    rects = [
-        [
-            (label, index[y], _right_mul(peeled, *label), pack(ocols), cells)
-            for label, y, ocols, cells in _grid.empty_rectangles(G, x)
-        ]
-        for x, peeled in zip(gens, map(_peel, gens))
-    ]
+    shapes = _shapes(G)
+    rects = []
+    for x in gens:
+        peeled = _peel(x)
+        records = []
+        for a, xa in enumerate(x):
+            lowest = n
+            for b, per_height in shapes[a][xa]:
+                h = (x[b] - xa) % n
+                if h < lowest:
+                    lowest = h
+                    y = list(x)
+                    y[a], y[b] = x[b], xa
+                    label, okey, cells = per_height[h]
+                    records.append((label, index[tuple(y)], _right_mul(peeled, a, b), okey, cells))
+        rects.append(records)
     return gens, rects
+
+
+def _shapes(G: GridDiagram) -> list:
+    """shapes[a][v]: the pairs (b, per_height) for b = a + 1, a + 2, ...
+    (mod n), where per_height[h] is (label, okey, cells) of the rectangle
+    with label (a, b), bottom row v and height h.  One label object
+    serves every shape with that label."""
+    n = G.n
+    shapes = []
+    for a in range(n):
+        labels = [(a, (a + width) % n) for width in range(1, n)]
+        per_row = []
+        for v in range(n):
+            pairs = []
+            for width, label in enumerate(labels, 1):
+                span = [(a + k) % n for k in range(width)]
+                per_height = []
+                for h in range(n):
+                    # the rows v, ..., v + h - 1 mod n, two bits each (h < n, so reducing
+                    # mod 4^n - 1 moves the bits past row n - 1 back to the bottom)
+                    rows = ((4**h - 1) // 3 << 2 * v) % (4**n - 1)
+                    okey = sum(((G.o_rows[c] - v) % n < h) << 2 * c for c in span)
+                    cells = sum(rows << 2 * c * n for c in span)
+                    per_height.append((label, okey, cells))
+                pairs.append((label[1], per_height))
+            per_row.append(pairs)
+        shapes.append(per_row)
+    return shapes
+
+
+def mod2_mismatch(table: tuple[list, list]) -> tuple | None:
+    """The first generator whose signed and unsigned sums per (target,
+    okey), keyed y << 2n | okey (okey < 4^n), differ mod 2, or None.  A
+    consistency check: k terms +-1 sum to k mod 2, so it cannot fail."""
+    gens, rects = table
+    n = len(gens[0])
+    for x, records in zip(gens, rects):
+        signed, unsigned = {}, {}
+        for _, y, bit, okey, _ in records:
+            k = y << 2 * n | okey
+            signed[k] = signed.get(k, 0) + (-1 if bit else 1)
+            unsigned[k] = unsigned.get(k, 0) + 1
+        if any((signed[k] - unsigned[k]) % 2 for k in unsigned):
+            return x
+    return None
 
 
 @dataclass

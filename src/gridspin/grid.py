@@ -12,9 +12,9 @@ path reads the packed grading weight of each lattice point
 (``grading_table``), summed along a depth-first walk of the permutation
 prefix tree (``graded_generators``), and for each left column and bottom
 row the smallest marker offset of each column span (``marker_caps``),
-read by the marker-free rectangle scan.  The full scan reads the label,
-O-counts and cell mask of each rectangle shape (``rectangle_shapes``): its
-2-chain, cell (c, r) at bit 2(c n + r), so two masks add with no carry.
+read by the marker-free rectangle scan (``empty_rectangles``).  The scan
+of every empty rectangle, which ``check`` reads, lives beside its table
+in ``complexes.rectangle_table``.
 """
 from __future__ import annotations
 
@@ -81,10 +81,6 @@ class GridDiagram:
     @cached_property
     def marker_caps(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         return _marker_caps(self)
-
-    @cached_property
-    def rectangle_shapes(self) -> tuple[tuple[tuple[tuple[int, tuple], ...], ...], ...]:
-        return _rectangle_shapes(self)
 
 
 def validate(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> None:
@@ -326,46 +322,9 @@ def _marker_caps(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, int], ...], ...
     return tuple(caps)
 
 
-def _rectangle_shapes(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, tuple], ...], ...], ...]:
-    """shapes[a][v]: the pairs (b, per_height) for b = a + 1, a + 2, ...
-    (mod n), where per_height[h] is (label, o_counts, cells) of the
-    rectangle with label (a, b), bottom row v and height h, in the form
-    ``empty_rectangles`` returns them.  One label object serves every
-    shape with that label, and one O-counts tuple every shape with those
-    counts (197 tuples for the 3,584 shapes of ``torus_grid(3, 5)``)."""
-    n = G.n
-    counts: dict[tuple[int, ...], tuple[int, ...]] = {}
-    shapes = []
-    for a in range(n):
-        labels = [(a, (a + width) % n) for width in range(1, n)]
-        per_row = []
-        for v in range(n):
-            pairs = []
-            for label in labels:
-                span = cyclic_span(a, label[1], n)
-                per_height = []
-                for h in range(n):
-                    # the rows v, ..., v + h - 1 mod n, two bits each (h < n, so reducing
-                    # mod 4^n - 1 moves the bits past row n - 1 back to the bottom)
-                    rows = ((4**h - 1) // 3 << 2 * v) % (4**n - 1)
-                    o_cols = [0] * n
-                    cells = 0
-                    for c in span:
-                        o_cols[c] = int((G.o_rows[c] - v) % n < h)
-                        cells |= rows << 2 * c * n
-                    o_cols = tuple(o_cols)
-                    per_height.append((label, counts.setdefault(o_cols, o_cols), cells))
-                pairs.append((label[1], tuple(per_height)))
-            per_row.append(tuple(pairs))
-        shapes.append(tuple(per_row))
-    return tuple(shapes)
-
-
-def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False) -> list[tuple]:
-    """The empty rectangles out of x: (label, target, o_counts, cells)
-    with the O-counts indexed by column and the rectangle's 2-chain, cell
-    (c, r) at bit 2(c*n + r) of the integer ``cells``, or with ``marker_free``
-    only those containing no marker, as (label, target).
+def empty_rectangles(G: GridDiagram, x: Sequence[int]) -> list[tuple[Label, tuple[int, ...]]]:
+    """The empty rectangles out of x that contain no marker, as (label,
+    target).
 
     One cyclic scan per left column a: b runs through a+1, a+2, ... and
     ``lowest`` is the smallest row offset (x[c] - x[a]) mod n of the
@@ -373,38 +332,23 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int], marker_free: bool = False
     (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
     below ``lowest``.  A marker of column c in the span [a, b) lies inside
     exactly when its row offset from x[a] is below h, so the rectangle is
-    marker-free exactly when h is at most the span's ``cap``; the
-    marker-free scan reads the columns b and caps from ``G.marker_caps``,
-    the full scan the columns b and each height's label, O-counts and
-    cells from ``G.rectangle_shapes``.
+    marker-free exactly when h is at most the span's ``cap``, read with
+    the columns b from ``G.marker_caps``.  The scan of every empty
+    rectangle, markers and all, is ``complexes.rectangle_table``'s.
     """
     n = G.n
-    x = tuple(x)
     out = []
-    if marker_free:
-        caps = G.marker_caps
-        for a, xa in enumerate(x):
-            lowest = n
-            for b, cap in caps[a][xa]:
-                h = (x[b] - xa) % n
-                if h < lowest:
-                    lowest = h
-                    if h <= cap:
-                        y = list(x)
-                        y[a], y[b] = x[b], xa
-                        out.append(((a, b), tuple(y)))
-        return out
-    shapes = G.rectangle_shapes
+    caps = G.marker_caps
     for a, xa in enumerate(x):
         lowest = n
-        for b, per_height in shapes[a][xa]:
+        for b, cap in caps[a][xa]:
             h = (x[b] - xa) % n
             if h < lowest:
                 lowest = h
-                y = list(x)
-                y[a], y[b] = x[b], xa
-                label, o_cols, cells = per_height[h]
-                out.append((label, tuple(y), o_cols, cells))
+                if h <= cap:
+                    y = list(x)
+                    y[a], y[b] = x[b], xa
+                    out.append(((a, b), tuple(y)))
     return out
 
 

@@ -373,7 +373,7 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
         columns = []
         for c, x in enumerate(by_grading[bg]):
             column: dict[int, int] = {}
-            rects = () if c in skip else _grid.empty_rectangles(G, x, marker_free=True)
+            rects = () if c in skip else _grid.empty_rectangles(G, x)
             if rects:
                 peeled = _peel(x)  # one peel serves every sign out of x
             for (a, b), y in rects:  # y is one Maslov degree down

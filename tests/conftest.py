@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from oracle_rectangles import full_scan
 from oracle_signs import sign_assignment
 from oracle_spin import right_mul
 from gridspin import grid as _grid
@@ -48,7 +49,7 @@ def corpus_verdicts():
         for x in itertools.permutations(range(G.n)):
             out.generators += 1
             terms = []
-            for label, y, ocols, _ in _grid.empty_rectangles(G, x):
+            for label, y, ocols, _ in full_scan(G, x):
                 # the O-count of column c in bits 2c and 2c + 1: the
                 # monomial of a composite (at most 2 per column) is the
                 # sum of its two packed monomials, without carries

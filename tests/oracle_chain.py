@@ -21,6 +21,7 @@ from typing import Sequence
 from gridspin import grid
 from gridspin.moves import MoveSpec, apply_move
 from gridspin.spin import SpinElement, identity, multiply, section
+from oracle_rectangles import full_scan
 from oracle_spin import right_mul
 
 
@@ -61,7 +62,7 @@ def differential_minus(G: grid.GridDiagram, g: SpinElement) -> dict:
     with the central element identified with -1."""
     out: dict = {}
     outer = -1 if g.bit else 1
-    for label, y, ocols, _ in grid.empty_rectangles(G, g.perm):
+    for label, y, ocols, _ in full_scan(G, g.perm):
         add_term(out, (y, ocols), -outer if right_mul(g.perm, *label) else outer)
     return out
 

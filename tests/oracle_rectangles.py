@@ -1,15 +1,21 @@
-"""Per-label rectangle geometry, kept as the oracle for the one-pass scan
-in ``gridspin.grid.empty_rectangles``.
+"""Per-label rectangle geometry, kept as the oracle for the one-pass scans
+in ``gridspin.complexes.rectangle_table`` (every empty rectangle) and
+``gridspin.grid.empty_rectangles`` (the marker-free ones).
 
-Each function realises or inspects a single labelled rectangle on the
-torus from its row and column spans, independently of the scan's offset
-bookkeeping.
+Each geometry function realises or inspects a single labelled rectangle
+on the torus from its row and column spans, independently of the scans'
+offset bookkeeping; ``per_label_scan`` lists every empty rectangle out of
+a generator from them.  ``full_scan`` reads the records of the table
+back in the per-label form, for the tests that walk the rectangles.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from gridspin.complexes import rectangle_table
 from gridspin.grid import GridDiagram, Point, cyclic_span
 from gridspin.spin import Label
 
@@ -88,3 +94,38 @@ def x_counts(G: GridDiagram, cells: int) -> tuple[int, ...]:
     """Per-column count (0 or 1) of the X markers inside the rectangle
     with the given cell bitmask (two bits per cell)."""
     return tuple((cells >> 2 * (c * G.n + r)) & 1 for c, r in enumerate(G.x_rows))
+
+
+def per_label_scan(G: GridDiagram, x: Sequence[int]) -> list[tuple]:
+    """Every empty rectangle out of x, sorted, as (label, target, O-counts,
+    cells): realise all n(n-1) labels, keep the empty ones, count the O's
+    of each column inside and list the cells."""
+    out = []
+    for a, b in itertools.permutations(range(G.n), 2):
+        rect = realize_rectangle(G, x, (a, b))
+        if not is_empty(G, x, rect):
+            continue
+        y = list(x)
+        y[a], y[b] = y[b], y[a]
+        rows = set(rect.row_span)
+        o_cols = tuple(int(c in rect.col_span and G.o_rows[c] in rows) for c in range(G.n))
+        out.append(((a, b), tuple(y), o_cols, cell_bitmask(G, rect)))
+    return sorted(out)
+
+
+# several grids: criterion 9 alternates a grid and its two cyclic images
+@functools.lru_cache(maxsize=8)
+def _table(G: GridDiagram) -> tuple[dict, list, list]:
+    gens, rects = rectangle_table(G)
+    return {x: i for i, x in enumerate(gens)}, gens, rects
+
+
+def full_scan(G: GridDiagram, x: Sequence[int]) -> list[tuple]:
+    """The records of ``rectangle_table(G)`` out of x, in scan order, as
+    (label, target, O-counts, cells) with the target a generator tuple and
+    the O-counts a tuple indexed by column."""
+    index, gens, rects = _table(G)
+    return [
+        (label, gens[y], tuple((okey >> 2 * c) & 3 for c in range(G.n)), cells)
+        for label, y, _, okey, cells in rects[index[tuple(x)]]
+    ]

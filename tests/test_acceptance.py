@@ -156,7 +156,7 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
         res = check_coboundary_equivalence(lambda x: lambda l: sign_assignment(G, x, l), reversed_sign, table)
         assert res.ok, (G, res.witness)
         for x in itertools.permutations(range(G.n)):
-            for label, y, _, _ in grid.empty_rectangles(G, x):
+            for label, y, _, _ in oracle_rectangles.full_scan(G, x):
                 if sign_assignment(G, x, label) != reversed_sign(x)(label):
                     differs = True
         if not complexes.check_sign_axioms(signed_table(table, swapped_sign)).ok:
@@ -277,7 +277,7 @@ def test_criterion_10_grading_identities():
             for x in itertools.permutations(range(n)):
                 M = grid.maslov(G, x)
                 A = grid.alexander2(G, x)
-                for label, y, ocols, cells in grid.empty_rectangles(G, x):
+                for label, y, ocols, cells in oracle_rectangles.full_scan(G, x):
                     xcols = oracle_rectangles.x_counts(G, cells)
                     rects += 1
                     assert M - grid.maslov(G, y) == 1 - 2 * sum(ocols)

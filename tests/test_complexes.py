@@ -52,7 +52,7 @@ def test_signs_refuse_non_generators():
         with pytest.raises(ValueError, match=re.escape(str(x))):
             sign_assignment(G, x, (0, 1))
     # a list is accepted and read as the tuple
-    for label, *_ in grid.empty_rectangles(G, (1, 0, 2, 3, 4)):
+    for label, *_ in rects.full_scan(G, (1, 0, 2, 3, 4)):
         assert sign_assignment(G, [1, 0, 2, 3, 4], label) == sign_assignment(G, (1, 0, 2, 3, 4), label)
 
 
@@ -74,10 +74,12 @@ def test_unknot_graded_differential_vanishes():
     # every rectangle of the 2x2 grid holds a marker
     G = grid.unknot2()
     for x in ((0, 1), (1, 0)):
-        assert grid.empty_rectangles(G, x, marker_free=True) == []
+        assert grid.empty_rectangles(G, x) == []
 
 
 def test_rectangle_table_matches_the_scan():
+    # each generator's records, unpacked, against the per-label oracle and
+    # the peeling loop's group-law bit
     G = grid.hopf4()
     gens, per_generator = rectangle_table(G)
     assert gens == list(itertools.permutations(range(4)))
@@ -86,8 +88,21 @@ def test_rectangle_table_matches_the_scan():
             (label, gens[y], bit, tuple((okey >> 2 * c) & 3 for c in range(4)), cells)
             for label, y, bit, okey, cells in records
         ]
-        scan = grid.empty_rectangles(G, x)
-        assert unpacked == [(label, y, oracle_spin.right_mul(x, *label), o, cells) for label, y, o, cells in scan]
+        want = [(label, y, oracle_spin.right_mul(x, *label), o, cells) for label, y, o, cells in rects.per_label_scan(G, x)]
+        assert sorted(unpacked) == want
+
+
+def test_records_of_one_shape_share_their_objects():
+    # a shape is (a, bottom row v, b, height h); every record of one shape
+    # holds the same label and cell mask objects, so the table holds no
+    # per-record int or tuple beyond its target index and bit
+    G = grid.random_grid(5, random.Random(23))
+    n = G.n
+    _, per_generator = rectangle_table(G)
+    records = [r for rs in per_generator for r in rs]
+    assert len(records) > n**3 * (n - 1)
+    assert len({id(cells) for *_, cells in records}) <= n**3 * (n - 1)
+    assert len({id(label) for label, *_ in records}) <= n * (n - 1)
 
 
 def test_d_squared_zero_all_n3():
@@ -114,7 +129,7 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
     d = {
-        x: [(y, -1 if flipped_oracle(x, label) else 1, ocols) for label, y, ocols, _ in grid.empty_rectangles(G, x)]
+        x: [(y, -1 if flipped_oracle(x, label) else 1, ocols) for label, y, ocols, _ in rects.full_scan(G, x)]
         for x in itertools.permutations(range(G.n))
     }
     want = []
@@ -313,8 +328,8 @@ def test_graded_d_squared_zero_all_n3():
     for G in grid.all_grids(3):
         for x in itertools.permutations(range(3)):
             dd = {}
-            for l1, y in grid.empty_rectangles(G, x, marker_free=True):
-                for l2, w in grid.empty_rectangles(G, y, marker_free=True):
+            for l1, y in grid.empty_rectangles(G, x):
+                for l2, w in grid.empty_rectangles(G, y):
                     dd[w] = dd.get(w, 0) + (-1 if oracle_spin.right_mul(x, *l1) ^ oracle_spin.right_mul(y, *l2) else 1)
             assert not any(dd.values()), (G, x)
 
@@ -324,7 +339,7 @@ def test_graded_differential_preserves_alexander():
         for x in itertools.permutations(range(3)):
             A = grid.alexander2(G, x)
             M = grid.maslov(G, x)
-            for _, y, ocols, cells in grid.empty_rectangles(G, x):
+            for _, y, ocols, cells in rects.full_scan(G, x):
                 if any(ocols) or any(rects.x_counts(G, cells)):
                     continue
                 assert grid.alexander2(G, y) == A
@@ -444,7 +459,7 @@ def test_minus_differential_bidegree():
         comps = G.components
         for x in itertools.permutations(range(4)):
             M, A = grid.maslov(G, x), grid.alexander2(G, x)
-            for label, y, ocols, cells in grid.empty_rectangles(G, x):
+            for label, y, ocols, cells in rects.full_scan(G, x):
                 xcols = rects.x_counts(G, cells)
                 My, Ay = grid.maslov(G, y), grid.alexander2(G, y)
                 assert My - 2 * sum(ocols) == M - 1

@@ -37,14 +37,14 @@ def _digest(value) -> str:
 
 
 def reports(G) -> dict:
-    table = complexes.rectangle_table(G)
+    gens, rects = table = complexes.rectangle_table(G)
     out = {
         "signs": _digest(complexes.check_sign_axioms(table)),
         "reversed": _digest(complexes.check_sign_axioms(signed_table(table, reversed_sign))),
         "swapped": _digest(complexes.check_sign_axioms(signed_table(table, swapped_sign))),
     }
     x0 = (1, 0, *range(2, G.n))
-    label0 = grid.empty_rectangles(G, x0)[0][0]
+    label0 = rects[gens.index(x0)][0][0]
     right_mul = spin._right_mul
 
     def flipped(peeled, a, b):

@@ -187,22 +187,6 @@ def test_alexander_parity_constant_per_component():
             parities = p
 
 
-def _empty_rectangles_per_label(G, x):
-    """Reference for empty_rectangles: realise all n(n-1) labels, keep the
-    empty ones, count the O's of each column inside and list the cells."""
-    out = []
-    for a, b in itertools.permutations(range(G.n), 2):
-        rect = rects.realize_rectangle(G, x, (a, b))
-        if not rects.is_empty(G, x, rect):
-            continue
-        y = list(x)
-        y[a], y[b] = y[b], y[a]
-        rows = set(rect.row_span)
-        o_cols = tuple(int(c in rect.col_span and G.o_rows[c] in rows) for c in range(G.n))
-        out.append(((a, b), tuple(y), o_cols, rects.cell_bitmask(G, rect)))
-    return sorted(out)
-
-
 def _scan_grids():
     """Every grid with n <= 4, ten seeded n = 5, two n = 6 and one n = 7."""
     import random
@@ -216,18 +200,20 @@ def _scan_grids():
 
 
 def test_empty_rectangles_match_per_label_oracle():
+    # the records of the rectangle table, the scan of every empty rectangle
     for G in _scan_grids():
         for x in itertools.permutations(range(G.n)):
-            assert sorted(grid.empty_rectangles(G, x)) == _empty_rectangles_per_label(G, x)
+            assert sorted(rects.full_scan(G, x)) == rects.per_label_scan(G, x)
 
 
 def test_marker_free_scan_matches_filter_and_cell_oracle():
-    # the marker-free scan against the full scan filtered by its counts and
-    # against the mod-2 oracle, which scans the cells of each rectangle
+    # the marker-free scan against the rectangle table's records filtered by
+    # their counts and against the mod-2 oracle, which scans the cells of
+    # each rectangle
     for G in _scan_grids():
         for x in itertools.permutations(range(G.n)):
-            fast = sorted(grid.empty_rectangles(G, x, marker_free=True))
-            full = [r for r in grid.empty_rectangles(G, x) if not (any(r[2]) or any(rects.x_counts(G, r[3])))]
+            fast = sorted(grid.empty_rectangles(G, x))
+            full = [r for r in rects.full_scan(G, x) if not (any(r[2]) or any(rects.x_counts(G, r[3])))]
             assert fast == sorted((label, y) for label, y, _, _ in full), (G, x)
             cells = oracle_mod2.marker_free_empty_rectangles(G.n, G.o_rows, G.x_rows, x)
             assert sorted(y for _, y in fast) == sorted(cells), (G, x)
@@ -299,7 +285,7 @@ def test_grading_drop_identities_exhaustive_n3():
         for x in itertools.permutations(range(3)):
             M = grid.maslov(G, x)
             A = grid.alexander2(G, x)
-            for label, y, ocols, cells in grid.empty_rectangles(G, x):
+            for label, y, ocols, cells in rects.full_scan(G, x):
                 xcols = rects.x_counts(G, cells)
                 assert M - grid.maslov(G, y) == 1 - 2 * sum(ocols)
                 Ay = grid.alexander2(G, y)

@@ -157,7 +157,7 @@ def _cancelling_targets(G):
     out = []
     for x in itertools.permutations(range(G.n)):
         total = {}
-        for label, y in grid.empty_rectangles(G, x, marker_free=True):
+        for label, y in grid.empty_rectangles(G, x):
             total.setdefault(y, []).append(-1 if oracle_spin.right_mul(x, *label) else 1)
         out.extend((x, y) for y, signs in total.items() if len(signs) > 1 and not sum(signs))
     return out
@@ -169,7 +169,7 @@ def test_marker_free_targets_repeat_on_split_grids():
     # marker-free and cancel
     G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
     x = (2, 1, 0, 3)
-    found = grid.empty_rectangles(G, x, marker_free=True)
+    found = grid.empty_rectangles(G, x)
     assert [y for _, y in found] == [(0, 1, 2, 3)] * 2
     assert sorted(oracle_spin.right_mul(x, *label) for label, _ in found) == [0, 1]
     assert (x, (0, 1, 2, 3)) in _cancelling_targets(G)
@@ -223,7 +223,7 @@ def _graded_terms(G, x):
     """(target, group-law sign) of every marker-free empty rectangle out of x."""
     return [
         (y, -1 if oracle_spin.right_mul(x, *label) else 1)
-        for label, y, ocols, cells in grid.empty_rectangles(G, x)
+        for label, y, ocols, cells in oracle_rectangles.full_scan(G, x)
         if not (any(ocols) or any(oracle_rectangles.x_counts(G, cells)))
     ]
 
@@ -315,9 +315,9 @@ def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
     scans, unit_only = [], []
     scan, solve = grid.empty_rectangles, homology.smith_normal_form
 
-    def counting(G, x, marker_free=False):
+    def counting(G, x):
         scans.append(x)
-        return scan(G, x, marker_free=marker_free)
+        return scan(G, x)
 
     def reporting(columns):
         S = solve(columns)
