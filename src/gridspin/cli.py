@@ -177,7 +177,7 @@ def _cmd_homology(args) -> int:
     G = _load_bounded(args.grid, args.command)
     summary = _hom.bigraded_homology(G)
     if args.flavor == "hat":
-        summary = _hom.hat_reduction(summary, G.components)
+        summary = _hom.hat_reduction(summary)
     _print_summary(summary, args.json)
     return OK
 

@@ -14,7 +14,8 @@ consistency check) read ``rectangle_table(G)``, which scans every empty
 rectangle of each generator, markers and all, and peels it once; the
 record layout is built and read only in this module.  d^2 and the sign
 axioms share one walk over the composable pairs that reads each record's
-bit as its sign, from one start per orbit of the torus translations.  Reference
+bit as its sign and keys each domain by its end and 2-chain, from one
+start per orbit of the torus translations.  Reference
 formulas with other cocycle argument orders, the gauge search between
 assignments and the chain maps on double-cover elements are test oracles.
 """
@@ -138,15 +139,15 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
 
     Composable pairs returning to their start are annuli (same ordered
     label twice: vertical; opposite labels: horizontal).  All other pairs
-    are grouped by domain, keyed by its 2-chain m1 + m2 (x and the 2-chain
-    fix the end); each group must consist of exactly two decompositions with
-    opposite sign products.  A domain fixes the O-counts of its pairs, so
-    such a domain adds 0 to d^2.  Each O lies in one vertical thin annulus
-    (its column's) and one horizontal (its row's) out of every x, so
-    vertical products -1 and horizontal +1 cancel in d^2 wherever the
-    markers are.  A start whose annuli cancel and whose domains all pass
-    is done; any other is walked again pair by pair, which lists its
-    violations and d^2 offenders in the order of a plain walk.
+    are grouped by domain, keyed by its end and its 2-chain m1 + m2; each
+    group must consist of exactly two decompositions with opposite sign
+    products.  The same walk sums each pair's sign product into the d^2
+    coefficient of its end and O-counts o1 + o2, and lists the
+    violations and d^2 offenders of each start in the order of a plain
+    walk.  A domain fixes the O-counts of its pairs, so a passing domain
+    adds 0 to d^2; each O lies in one vertical thin annulus (its
+    column's) and one horizontal (its row's) out of every x, so vertical
+    products -1 and horizontal +1 cancel in d^2 wherever the markers are.
 
     The torus translations carry the pairs out of x to those out of its
     translate.  Once ``_translation_gauges`` finds each bit carried to
@@ -164,44 +165,37 @@ def check_sign_axioms(table: tuple[list, list]) -> SignAxiomReport:
 
 
 def _walk(gens: list, rects: list, starts) -> SignAxiomReport:
-    """The report of the pairs out of each (start, weight), counts weighted."""
+    """The report of the pairs out of each (start, weight), counts weighted;
+    one loop per start serves d^2, the domains and the annuli."""
     violations: list[tuple] = []
     offenders: list[tuple] = []
     n_sq = n_v = n_h = 0
     for i, weight in starts:
         x = gens[i]
-        # every domain out of x is complete once x's pairs are seen; each
-        # lists the product bits b1 ^ b2 of its decompositions
-        domains: dict[int, list[int]] = {}
-        add = domains.setdefault
-        annuli: dict[int, int] = {}  # d^2 sums of the pairs back to x, by okey
+        acc: dict[tuple[int, int], int] = {}
+        decomps: dict[tuple[int, int], list[tuple]] = {}
         for l1, y, b1, o1, m1 in rects[i]:
             for l2, w, b2, o2, m2 in rects[y]:
-                if w == i:
-                    p = b1 ^ b2
-                    annuli[o1 + o2] = annuli.get(o1 + o2, 0) + (-1 if p else 1)
-                    if l2 == l1:
-                        n_v += weight
-                        if not p:
-                            violations.append(("V", x, l1, l2, 1))
-                    elif l2 == (l1[1], l1[0]):
-                        n_h += weight
-                        if p:
-                            violations.append(("H", x, l1, l2, -1))
-                    else:
-                        violations.append(("loop", x, l1, l2))
-                    continue
-                add(m1 + m2, []).append(b1 ^ b2)
-        if not any(annuli.values()) and all(len(ps) == 2 and ps[0] != ps[1] for ps in domains.values()):
-            n_sq += len(domains) * weight
-            continue
-        # a failure: walk x's pairs again, pair by pair, to list it in order
-        acc, decomps = _pair_sums(rects, i)
+                s = -1 if b1 ^ b2 else 1
+                key = (w, o1 + o2)
+                acc[key] = acc.get(key, 0) + s
+                if w != i:
+                    decomps.setdefault((w, m1 + m2), []).append((l1, l2, s))
+                elif l2 == l1:
+                    n_v += weight
+                    if s == 1:
+                        violations.append(("V", x, l1, l2, s))
+                elif l2 == (l1[1], l1[0]):
+                    n_h += weight
+                    if s == -1:
+                        violations.append(("H", x, l1, l2, s))
+                else:
+                    violations.append(("loop", x, l1, l2))
         n = len(x)
         offenders.extend(
             (x, (gens[w], tuple((m >> 2 * c) & 3 for c in range(n))), k) for (w, m), k in acc.items() if k
         )
-        for w, ds in decomps.values():
+        for (w, _), ds in decomps.items():
             if len(ds) != 2:
                 violations.append(("Sq-count", x, gens[w], ds))
                 continue
@@ -257,18 +251,3 @@ def _orbits(row: list, col: list):
         if size:
             yield i, size
 
-
-def _pair_sums(rects: list, i: int) -> tuple[dict, dict]:
-    """For the composable pairs out of generator i, pair by pair: the d^2 sums
-    keyed (end, okey) and each domain's end and decompositions (l1, l2, sign
-    product), both in first-seen order."""
-    acc: dict[tuple[int, int], int] = {}
-    decomps: dict[int, tuple[int, list[tuple]]] = {}
-    for l1, y, b1, o1, m1 in rects[i]:
-        for l2, w, b2, o2, m2 in rects[y]:
-            s = -1 if b1 ^ b2 else 1
-            key = (w, o1 + o2)
-            acc[key] = acc.get(key, 0) + s
-            if w != i:
-                decomps.setdefault(m1 + m2, (w, []))[1].append((l1, l2, s))
-    return acc, decomps

@@ -293,11 +293,6 @@ def alexander2(G: GridDiagram, x: Sequence[int]) -> tuple[int, ...]:
 # Rectangles
 
 
-def cyclic_span(a: int, b: int, n: int) -> tuple[int, ...]:
-    """The half-open cyclic interval [a, b) in Z/n."""
-    return tuple((a + k) % n for k in range((b - a) % n))
-
-
 def _marker_caps(G: GridDiagram) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """caps[a][v]: the pairs (b, cap) for b = a + 1, a + 2, ... (mod n),
     with cap the smallest row offset (r - v) mod n of a marker in the

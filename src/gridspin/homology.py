@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from . import grid as _grid
-from .grid import ComponentData, GridDiagram
+from .grid import GridDiagram
 from .spin import _peel, _right_mul
 
 
@@ -441,7 +441,7 @@ def divide_hat_factor(ranks: dict[Exponent, int], j: int) -> dict[Exponent, int]
     return quotient
 
 
-def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySummary:
+def hat_reduction(H: HomologySummary) -> HomologySummary:
     """Peel the factor V_i off the tilde ranks n_i - 1 times per component;
     a negative rank on the way signals an upstream bug and raises
     NotDivisible."""
@@ -449,16 +449,16 @@ def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySumm
         raise ValueError("hat reduction applies to tilde summaries")
     if H.has_torsion:
         raise NotDivisible("tilde homology has torsion; hat ranks are undefined here")
-    l = components.l
+    l = H.l
     ranks = dict(H.poincare.terms)
     for j in range(l):
-        for _ in range(components.n_i[j] - 1):
+        for _ in range(H.n_i[j] - 1):
             ranks = divide_hat_factor(ranks, j)
     quotient = Laurent.from_dict(l, ranks)
     return HomologySummary(
         flavor="hat",
         l=l,
-        n_i=components.n_i,
+        n_i=H.n_i,
         pieces=tuple((Bigrading(q, t2), c, ()) for (q, t2), c in quotient.terms),
         poincare=quotient,
         euler=quotient.at_q_minus_one(),
@@ -468,12 +468,11 @@ def hat_reduction(H: HomologySummary, components: ComponentData) -> HomologySumm
 def alexander_polynomial(G: GridDiagram) -> Laurent:
     """Euler characteristic of the hat homology, symmetrised under t -> 1/t
     and, for knots, signed so the value at t = 1 is one."""
-    comps = G.components
-    hat = hat_reduction(bigraded_homology(G), comps)
+    hat = hat_reduction(bigraded_homology(G))
     e = hat.euler
     if e.is_zero():
         return e
-    l = comps.l
+    l = hat.l
     shift = []
     for i in range(l):
         exps = [t2[i] for (_, t2), _ in e.terms]

@@ -326,8 +326,8 @@ def invariance_report(G1: GridDiagram, G2: GridDiagram) -> InvarianceReport:
     (sizes differing by one) also verify the predicted extra tilde factor."""
     t1 = _hom.bigraded_homology(G1)
     t2 = _hom.bigraded_homology(G2)
-    h1 = _hom.hat_reduction(t1, G1.components)
-    h2 = _hom.hat_reduction(t2, G2.components)
+    h1 = _hom.hat_reduction(t1)
+    h2 = _hom.hat_reduction(t2)
     if h1.l != h2.l:
         return InvarianceReport(h1, h2, False, None, None)
     match = _match_up_to_shift(h1.poincare, h2.poincare, h1.l)

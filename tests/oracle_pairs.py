@@ -2,9 +2,9 @@
 
 ``gridspin.complexes.check_sign_axioms`` walks every composable pair of a
 rectangle table once: it finds the sign-axiom violations and the d^2
-offenders of the table's signs (-1)^bit together, and forms per-pair sums
-only for a start generator that has a failure.  The two walks here are
-the straightforward forms it replaced, kept as its reference:
+offenders of the table's signs (-1)^bit together, in one loop per start
+generator that keys each domain by its end and 2-chain.  The two walks
+here are the straightforward forms it replaced, kept as its reference:
 
 * ``d_squared_offenders`` sums the minus differential's d^2 over every
   pair, keyed by (end, monomial);

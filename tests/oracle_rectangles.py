@@ -16,8 +16,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from gridspin.complexes import rectangle_table
-from gridspin.grid import GridDiagram, Point, cyclic_span
+from gridspin.grid import GridDiagram, Point
 from gridspin.spin import Label
+
+
+def cyclic_span(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The half-open cyclic interval [a, b) in Z/n."""
+    return tuple((a + k) % n for k in range((b - a) % n))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from typing import Callable
 from gridspin import grid
 from gridspin.spin import Label, cocycle, is_permutation, transposition
 from oracle_chain import inverse_perm
+from oracle_rectangles import cyclic_span
 
 SignFn = Callable[[tuple[int, ...]], Callable[[Label], int]]  # x -> (label -> +-1)
 
@@ -64,7 +65,7 @@ def sign_assignment(G: grid.GridDiagram, x: tuple[int, ...], label: Label) -> in
     # empty iff every column strictly inside (a, b) has its point above the
     # height, by row offset from x[a] (the rule of empty_rectangles)
     h = (x[b] - x[a]) % n
-    if any((x[c] - x[a]) % n < h for c in grid.cyclic_span(a, b, n)[1:]):
+    if any((x[c] - x[a]) % n < h for c in cyclic_span(a, b, n)[1:]):
         raise ValueError(f"rectangle {label} out of {x} is not empty")
     return _eps(label) * cocycle(x, transposition(n, a, b))
 

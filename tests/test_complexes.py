@@ -149,8 +149,9 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
 def test_pair_walk_matches_the_two_walk_oracle(n):
     # the one pair walk of check_sign_axioms against the two walks of
     # oracle_pairs, d^2 offenders in order included: the program's signs,
-    # both reference formulas, and three mutants (a flipped group-law bit, a
-    # table with one record dropped, every sign +1); the genuine sign
+    # both reference formulas, and four mutants (a flipped group-law bit, a
+    # table with one record dropped, one record given the target of another
+    # record of the same generator, every sign +1); the genuine sign
     # assignments take the walk over one start per translation orbit and
     # the others fall back to the walk over every start, every sign +1
     # after the gauge pass has held and the orbit walk has failed
@@ -178,6 +179,13 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
             "dropped": (gens, dropped),
             "unsigned": signed_table(table, lambda x: lambda label: 1),
         }
+        # at n = 2 both records of a generator share their target
+        targets = [r[1] for r in per_generator[i] if r[1] != y]
+        if targets:
+            retargeted = list(per_generator)
+            record = (label0, rng.choice(targets), bit, okey, cells)
+            retargeted[i] = [*per_generator[i][:k], record, *per_generator[i][k + 1 :]]
+            cases["retargeted"] = (gens, retargeted)
         for case, t in cases.items():
             want = oracle_pairs.check_sign_axioms(t)
             want.d2_offenders = oracle_pairs.d_squared_offenders(t)
@@ -191,7 +199,14 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
             if want.d2_offenders:
                 kinds.add((case, "d2"))
     # the mutants reach every failure path of the walk
-    assert {("flipped bit", "d2"), ("flipped bit", "Sq"), ("dropped", "d2"), ("dropped", "Sq-count")} <= kinds
+    assert {
+        ("flipped bit", "d2"),
+        ("flipped bit", "Sq"),
+        ("dropped", "d2"),
+        ("dropped", "Sq-count"),
+        ("retargeted", "loop"),
+        ("retargeted", "d2"),
+    } <= kinds
 
 
 def _takes_orbit_walk(table):
@@ -228,7 +243,7 @@ def test_gauge_pass_rejects_every_single_bit_flip():
 def test_gauge_pass_rejects_row_orbit_mutants():
     # a change made alike at every row translate of x keeps the row identity
     # and the row alignment, so the column translation has to reject it, and
-    # check_sign_axioms then gives the walk over every start: a flipped bit,
+    # check_sign_axioms then gives the oracle's report: a flipped bit,
     # a reversed label or two records out of order on a sample of records,
     # and every record sent to the target of another record of x (some of
     # those keep both gauge identities, so only the column target check
@@ -256,8 +271,11 @@ def test_gauge_pass_rejects_row_orbit_mutants():
         for _ in range(G.n):
             mutant[j] = mutate(rects[j])
             j = row[j]
-        assert _translation_gauges(gens, mutant) is None, gens[i]
-        assert check_sign_axioms((gens, mutant)) == _walk(gens, mutant, ((j, 1) for j in range(len(gens))))
+        t = (gens, mutant)
+        assert _translation_gauges(*t) is None, gens[i]
+        want = oracle_pairs.check_sign_axioms(t)
+        want.d2_offenders = oracle_pairs.d_squared_offenders(t)
+        assert check_sign_axioms(t) == want, gens[i]
 
 
 def test_translation_gauges_equal_their_closed_forms():

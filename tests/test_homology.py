@@ -570,7 +570,7 @@ def test_unknot_homology_exact():
     assert H.piece(-1, (-2,)) == (1, ())
     assert render_polynomial(H.poincare) == "1 + q^-1*t^-1"
     assert render_polynomial(H.euler) == "1 - t^-1"
-    hat = hat_reduction(H, G.components)
+    hat = hat_reduction(H)
     assert hat.total_rank == 1 and hat.piece(0, (0,)) == (1, ())
     assert render_polynomial(alexander_polynomial(G)) == "1"
 
@@ -581,7 +581,7 @@ def test_unknot_3x3_hat():
     assert G.components.l == 1
     H = bigraded_homology(G)
     assert H.total_rank == 4
-    hat = hat_reduction(H, G.components)
+    hat = hat_reduction(H)
     assert hat.total_rank == 1
     assert render_polynomial(alexander_polynomial(G)) == "1"
 
@@ -590,7 +590,7 @@ def test_unlink_homology():
     G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
     H = bigraded_homology(G)
     assert H.total_rank == 8 and not H.has_torsion
-    hat = hat_reduction(H, G.components)
+    hat = hat_reduction(H)
     assert hat.total_rank == 2
     assert render_polynomial(hat.poincare) == "1 + q^-1"
 
@@ -599,7 +599,7 @@ def test_trefoil_homology():
     T = grid.trefoil5()
     H = bigraded_homology(T)
     assert H.total_rank == 48 and not H.has_torsion
-    hat = hat_reduction(H, T.components)
+    hat = hat_reduction(H)
     assert hat.total_rank == 3
     gradings = sorted(bg.alexander2[0] for bg, r, _ in hat.pieces)
     assert gradings == [-2, 0, 2]  # three consecutive Alexander levels
@@ -650,7 +650,7 @@ def test_torus_knots_match_closed_form(p, q):
     for k in range(1, len(staircase)):
         d -= 1 if k % 2 == 0 else 2 * (staircase[k - 1][0] - staircase[k][0]) - 1
         expected[(-d, (-2 * staircase[k][0],))] = 1
-    hat = hat_reduction(bigraded_homology(G), G.components)
+    hat = hat_reduction(bigraded_homology(G))
     assert {(bg.maslov, bg.alexander2): r for bg, r, _ in hat.pieces} == expected
     assert not hat.has_torsion
 
@@ -694,7 +694,7 @@ def test_winding_determinant_oracle():
             assert got == oracle_alexander.alexander_polynomial(G.o_rows, G.x_rows), G
         else:
             chi = oracle_alexander.euler_at_t(G.o_rows, G.x_rows)
-            got = _at_one_t(hat_reduction(bigraded_homology(G), G.components).euler)
+            got = _at_one_t(hat_reduction(bigraded_homology(G)).euler)
             assert got in (chi, [-c for c in chi]), G
             links += bool(chi)
     assert knots == 285 and links == 32
@@ -712,7 +712,7 @@ def test_torus_grid_shape():
 def test_hopf_link_hat():
     G = grid.hopf4()
     H = bigraded_homology(G)
-    hat = hat_reduction(H, G.components)
+    hat = hat_reduction(H)
     assert hat.total_rank == 4  # Hopf link hat homology has rank four
 
 
@@ -783,9 +783,9 @@ def test_homology_independent_of_basis_order():
 def test_hat_reduction_bad_inputs():
     G = grid.unknot2()
     H = bigraded_homology(G)
-    hat = hat_reduction(H, G.components)
+    hat = hat_reduction(H)
     with pytest.raises(ValueError):
-        hat_reduction(hat, G.components)
+        hat_reduction(hat)
 
 
 def test_summary_json_shape():
