@@ -5,9 +5,10 @@ group: rectangles act by right multiplication with lifted transpositions
 and the central element is identified with -1.  The package holds only
 what the command line runs; the reference oracles it is checked against
 (the Clifford model of the double cover, the GF(2) homology, the naive
-rectangle geometry, the transform-carrying Smith form, the gauge search
-between sign assignments and the minus complex on double-cover elements
-with its cyclic chain isomorphisms) live with the tests.
+rectangle geometry, the transform-carrying Smith form, the full hat peel,
+the gauge search between sign assignments and the minus complex on
+double-cover elements with its cyclic chain isomorphisms) live with the
+tests.
 """
 
 from .complexes import (
@@ -33,7 +34,7 @@ from .homology import (
     SmithForm,
     alexander_polynomial,
     bigraded_homology,
-    hat_reduction,
+    hat_homology,
     smith_normal_form,
 )
 from .moves import (

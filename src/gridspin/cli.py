@@ -175,9 +175,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_homology(args) -> int:
     G = _load_bounded(args.grid, args.command)
-    summary = _hom.bigraded_homology(G)
-    if args.flavor == "hat":
-        summary = _hom.hat_reduction(summary)
+    summary = _hom.hat_homology(G) if args.flavor == "hat" else _hom.bigraded_homology(G)
     _print_summary(summary, args.json)
     return OK
 

@@ -22,7 +22,6 @@ assignments and the chain maps on double-cover elements are test oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .grid import GridDiagram
 from .spin import _peel, _right_mul
@@ -116,16 +115,27 @@ def mod2_mismatch(table: tuple[list, list]) -> tuple | None:
     return None
 
 
-@dataclass
 class SignAxiomReport:
     """The sign-axiom verdict, and the d^2 offenders that the same walk
     finds (left out of the repr, which states the sign axioms alone)."""
 
-    square_pairs: int
-    vertical_annuli: int
-    horizontal_annuli: int
-    violations: list[tuple]
-    d2_offenders: list[tuple] = field(default_factory=list, repr=False)
+    def __init__(self, square_pairs: int, vertical_annuli: int, horizontal_annuli: int,
+                 violations: list[tuple], d2_offenders: list[tuple] | None = None):
+        self.square_pairs = square_pairs
+        self.vertical_annuli = vertical_annuli
+        self.horizontal_annuli = horizontal_annuli
+        self.violations = violations
+        self.d2_offenders = [] if d2_offenders is None else d2_offenders
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (f"SignAxiomReport(square_pairs={self.square_pairs!r},"
+                f" vertical_annuli={self.vertical_annuli!r},"
+                f" horizontal_annuli={self.horizontal_annuli!r}, violations={self.violations!r})")
 
     @property
     def ok(self) -> bool:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .spin import Label, is_permutation
 
@@ -37,8 +36,7 @@ class GridError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(NamedTuple):
     """Link components traced through the markers.
 
     Component indices run from 1 to l.  ``comp_of_o[c]`` / ``comp_of_x[c]``
@@ -55,16 +53,27 @@ class ComponentData:
     o_numbering: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class GridDiagram:
-    n: int
-    o_rows: tuple[int, ...]
-    x_rows: tuple[int, ...]
+    """A validated grid; equal and hashed by (n, o_rows, x_rows).  The
+    per-grid tables are computed on first use and kept."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "o_rows", tuple(self.o_rows))
-        object.__setattr__(self, "x_rows", tuple(self.x_rows))
+    def __init__(self, n: int, o_rows: Sequence[int], x_rows: Sequence[int]):
+        self.n, self.o_rows, self.x_rows = n, tuple(o_rows), tuple(x_rows)
         validate(self.n, self.o_rows, self.x_rows)
+
+    def _key(self) -> tuple:
+        return self.n, self.o_rows, self.x_rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GridDiagram(n={self.n!r}, o_rows={self.o_rows!r}, x_rows={self.x_rows!r})"
 
     @cached_property
     def components(self) -> ComponentData:
@@ -243,36 +252,64 @@ def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return _unpack(key, _field_bits(G.n), G.components.l)
 
 
-def graded_generators(G: GridDiagram) -> dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]:
-    """Every generator grouped by (Maslov degree, doubled Alexander
-    grading), keys and lists in ``itertools.permutations`` order.
+def graded_generators(
+    G: GridDiagram, a2: tuple[int, ...] | None = None
+) -> dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every generator, or with ``a2`` those whose doubled Alexander
+    grading is lexicographically at least ``a2``, grouped by (Maslov
+    degree, doubled Alexander grading), keys and lists in
+    ``itertools.permutations`` order.
 
     A depth-first walk of the permutation prefix tree: a prefix x[0..c-1]
     carries its packed partial sum, and each child adds one entry of
     ``G.grading_table`` less its inversions, so about e n! node steps
-    replace n steps per generator.  Each distinct key is decoded once, at
-    the end.  ``_descend`` is a module function: a nested function that
+    replace n steps per generator.  Inversions enter the Maslov field
+    alone, so a prefix's A_1 is the sum of its points' A_1 fields.  The
+    walk carries it too and drops a prefix whose A_1 cannot reach a2[0]
+    even if every later column took its largest A_1 weight; without a2
+    the floor lies below every generator and nothing is dropped.  Each
+    distinct key is decoded once, at the end, and the keys below a2 are
+    left out.  ``_descend`` is a module function: a nested function that
     called itself would be a reference cycle holding every generator
     until the next cyclic collection.
     """
+    n, l = G.n, G.components.l
+    bits = _field_bits(n)
+    table = G.grading_table
+    alex1 = [[_unpack(w, bits, l)[1][0] for w in row] for row in table]
+    # floors[c]: the least A_1 of a prefix x[0..c] from which the columns
+    # after c can still reach the threshold
+    floor = a2[0] if a2 is not None else sum(map(min, alex1))
+    floors = [floor - sum(map(max, alex1[c + 1:])) for c in range(n)]
     groups: dict[int, list[tuple[int, ...]]] = {}
-    _descend(G.grading_table, 0, 0, tuple(range(G.n)), (), groups)
-    bits, l = _field_bits(G.n), G.components.l
-    return {_unpack(key, bits, l): xs for key, xs in groups.items()}
+    _descend(table, alex1, floors, 0, 0, 0, tuple(range(n)), (), groups)
+    graded = {}
+    for key, xs in groups.items():
+        bg = _unpack(key, bits, l)
+        if a2 is None or bg[1] >= a2:
+            graded[bg] = xs
+    return graded
 
 
-def _descend(table: tuple[tuple[int, ...], ...], c: int, key: int, free: tuple[int, ...],
-             prefix: tuple[int, ...], groups: dict[int, list[tuple[int, ...]]]) -> None:
-    """Extend ``prefix`` (columns 0..c-1) by each free row in increasing
-    order; the free row of rank k has k free rows below it, which later
-    columns take: k inversions."""
-    row = table[c]
+def _descend(table: tuple[tuple[int, ...], ...], alex1: list[list[int]], floors: list[int],
+             c: int, key: int, a1: int, free: tuple[int, ...], prefix: tuple[int, ...],
+             groups: dict[int, list[tuple[int, ...]]]) -> None:
+    """Extend ``prefix`` (columns 0..c-1, A_1 sum a1) by each free row in
+    increasing order whose A_1 keeps it at or above ``floors[c]``; the
+    free row of rank k has k free rows below it, which later columns
+    take: k inversions."""
+    row, row1, floor = table[c], alex1[c], floors[c]
     c += 1
     if c == len(table):
-        groups.setdefault(key + row[free[0]], []).append(prefix + free)
+        v = free[0]
+        if a1 + row1[v] >= floor:
+            groups.setdefault(key + row[v], []).append(prefix + free)
         return
     for k, v in enumerate(free):
-        _descend(table, c, key + row[v] - k, free[:k] + free[k + 1:], prefix + (v,), groups)
+        a = a1 + row1[v]
+        if a >= floor:
+            _descend(table, alex1, floors, c, key + row[v] - k, a, free[:k] + free[k + 1:],
+                     prefix + (v,), groups)
 
 
 def maslov(G: GridDiagram, x: Sequence[int]) -> int:

@@ -15,17 +15,30 @@ drops the row once used, so its row operations L have L[P, not P] = 0 for
 the unit pivot rows P.  Then {L^-1 e_p : p in P} and {e_x : x not in P}
 form a basis, the first part is a boundary that d^2 = 0 kills, and the
 block's Smith form, torsion included, is that of its columns outside P.
-Pivots of the residual stage need not be units and clear nothing.  The
-hat reduction peels the free factor of each extra grid row off the
-bigraded ranks, and the Poincare, Euler and Alexander polynomials are
-exact Laurent polynomials.
+Pivots of the residual stage need not be units and clear nothing.
+
+Hat homology (``hat_homology``) walks, reduces and peels only the region
+R of bigradings with 2A >= 0 lexicographically, and fills in the rest by
+the symmetry HFL-hat_d(L, h) = HFL-hat_{d - 2 sum h_i}(L, -h)
+(Ozsvath-Szabo, math/0209056, math/0512286).  The blocks keep the
+Alexander grading and the peel of the free factor of each extra grid row
+only moves rank down in one A_j, so the ranks on R depend on R alone.  So
+the refusal of tilde torsion and ``NotDivisible`` read R only, and
+nothing is lost.  Tilde = hat (x) V^(n - l) with V free holds hat at the
+same bigrading, so tilde has torsion exactly when hat has; hat over Z is
+symmetric, so it has torsion exactly when it has some in R, where tilde
+then has it too.  Outside R the peel would only recheck what the
+symmetry already fixes; the full peel of ``tests/oracle_hat.py`` does
+that against this path.  The symmetry assertion of
+``alexander_polynomial`` holds by construction;
+``tests/oracle_alexander.py`` is its guard.  The Poincare, Euler and
+Alexander polynomials are exact Laurent polynomials.
 
 Alexander exponents are half-integers in general, so t-exponents are
 stored doubled throughout; q-exponents (Maslov) stay plain integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -44,8 +57,7 @@ class NotDivisible(ArithmeticError):
 Exponent = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Laurent:
+class Laurent(NamedTuple):
     """Integer Laurent polynomial; terms maps (q_exp, t2_exps) -> coeff."""
 
     nvars: int  # number of t variables
@@ -140,14 +152,26 @@ def equal_up_to_t_shift(p: Laurent, q: Laurent) -> tuple[int, ...] | None:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix, and
     the rows the unit stage of ``smith_normal_form`` pivoted on (not
     compared, not shown)."""
 
-    diagonal: tuple[int, ...]
-    pivot_rows: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
+    __slots__ = ("diagonal", "pivot_rows")
+
+    def __init__(self, diagonal: tuple[int, ...], pivot_rows: frozenset[int] = frozenset()):
+        self.diagonal, self.pivot_rows = diagonal, pivot_rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diagonal == other.diagonal
+
+    def __hash__(self) -> int:
+        return hash(self.diagonal)
+
+    def __repr__(self) -> str:
+        return f"SmithForm(diagonal={self.diagonal!r})"
 
     @property
     def rank(self) -> int:
@@ -313,8 +337,7 @@ class Bigrading(NamedTuple):
     alexander2: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     flavor: str
     l: int
     n_i: tuple[int, ...]
@@ -353,10 +376,14 @@ class HomologySummary:
         }
 
 
-def bigraded_homology(G: GridDiagram) -> HomologySummary:
-    """Homology of the marker-free differential, split by bigrading."""
+def bigraded_homology(G: GridDiagram, a2: tuple[int, ...] | None = None) -> HomologySummary:
+    """Homology of the marker-free differential, split by bigrading: at
+    every bigrading, or with ``a2`` at those whose doubled Alexander
+    grading is lexicographically at least ``a2``.  Each block maps one
+    Alexander grading to itself, so any set of Alexander gradings spans a
+    direct summand of the complex, and its blocks are the full complex's."""
     comps = G.components
-    by_grading = {Bigrading(*bg): xs for bg, xs in _grid.graded_generators(G).items()}
+    by_grading = {Bigrading(*bg): xs for bg, xs in _grid.graded_generators(G, a2).items()}
 
     # each block is reduced as soon as it is built, so the columns of one
     # block at a time are alive; the column of x merges its rectangles per
@@ -416,7 +443,9 @@ def bigraded_homology(G: GridDiagram) -> HomologySummary:
     )
 
 
-def divide_hat_factor(ranks: dict[Exponent, int], j: int) -> dict[Exponent, int]:
+def divide_hat_factor(
+    ranks: dict[Exponent, int], j: int, a2: tuple[int, ...] | None = None
+) -> dict[Exponent, int]:
     """Quotient of a {(q, t2): rank} table by (1 + q^-1 t_j^-1), the
     Poincare polynomial of the free factor V_j that each extra row of
     component j adds to the tilde homology.
@@ -424,7 +453,13 @@ def divide_hat_factor(ranks: dict[Exponent, int], j: int) -> dict[Exponent, int]
     Peels from the top: the lexicographically largest bigrading left holds
     a quotient rank c, and c is taken off one step down, at (q - 1, t_j - 1).
     A negative value raises NotDivisible.  A table without the factor
-    always ends in one, at the bottom of some line, so the walk stops."""
+    always ends in one, at the bottom of some line, so the walk stops.
+
+    With ``a2`` the table covers only the region t2 >= a2
+    (lexicographically), which raising any t_j never leaves: the quotient
+    at a bigrading reads the table at that bigrading and above it along
+    t_j, so it is exact on the region, and a step down out of the region
+    is dropped instead of taken off."""
     left = {e: c for e, c in ranks.items() if c}
     quotient: dict[Exponent, int] = {}
     while left:
@@ -435,30 +470,38 @@ def divide_hat_factor(ranks: dict[Exponent, int], j: int) -> dict[Exponent, int]
         quotient[e] = c
         q, t2 = e
         below = (q - 1, t2[:j] + (t2[j] - 2,) + t2[j + 1 :])
+        if a2 is not None and below[1] < a2:
+            continue
         rest = left.pop(below, 0) - c
         if rest:
             left[below] = rest
     return quotient
 
 
-def hat_reduction(H: HomologySummary) -> HomologySummary:
-    """Peel the factor V_i off the tilde ranks n_i - 1 times per component;
-    a negative rank on the way signals an upstream bug and raises
-    NotDivisible."""
-    if H.flavor != "tilde":
-        raise ValueError("hat reduction applies to tilde summaries")
-    if H.has_torsion:
+def hat_homology(G: GridDiagram) -> HomologySummary:
+    """Hat homology: tilde homology on the region R of bigradings with
+    2A >= 0 lexicographically, the factor V_j peeled off it n_j - 1 times
+    per component, and the rest filled in by the symmetry
+    HFL-hat_d(L, h) = HFL-hat_{d - 2 sum h_i}(L, -h) (Ozsvath-Szabo), which
+    takes (M, 2A) to (M - sum 2A_i, -2A).  Tilde torsion in R, or a
+    negative rank on the way, raises NotDivisible."""
+    comps = G.components
+    zero = (0,) * comps.l
+    tilde = bigraded_homology(G, zero)
+    if tilde.has_torsion:
         raise NotDivisible("tilde homology has torsion; hat ranks are undefined here")
-    l = H.l
-    ranks = dict(H.poincare.terms)
-    for j in range(l):
-        for _ in range(H.n_i[j] - 1):
-            ranks = divide_hat_factor(ranks, j)
-    quotient = Laurent.from_dict(l, ranks)
+    ranks = dict(tilde.poincare.terms)
+    for j in range(comps.l):
+        for _ in range(comps.n_i[j] - 1):
+            ranks = divide_hat_factor(ranks, j, zero)
+    for (q, t2), c in list(ranks.items()):
+        if t2 != zero:
+            ranks[(q - sum(t2), tuple(-a for a in t2))] = c
+    quotient = Laurent.from_dict(comps.l, ranks)
     return HomologySummary(
         flavor="hat",
-        l=l,
-        n_i=H.n_i,
+        l=comps.l,
+        n_i=comps.n_i,
         pieces=tuple((Bigrading(q, t2), c, ()) for (q, t2), c in quotient.terms),
         poincare=quotient,
         euler=quotient.at_q_minus_one(),
@@ -468,7 +511,7 @@ def hat_reduction(H: HomologySummary) -> HomologySummary:
 def alexander_polynomial(G: GridDiagram) -> Laurent:
     """Euler characteristic of the hat homology, symmetrised under t -> 1/t
     and, for knots, signed so the value at t = 1 is one."""
-    hat = hat_reduction(bigraded_homology(G))
+    hat = hat_homology(G)
     e = hat.euler
     if e.is_zero():
         return e

@@ -18,8 +18,7 @@ tilde factor across a stabilization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import grid as _grid
 from . import homology as _hom
@@ -36,8 +35,7 @@ class MoveError(ValueError):
 VARIANTS = ("NW", "NE", "SW", "SE")
 
 
-@dataclass(frozen=True)
-class MoveSpec:
+class MoveSpec(NamedTuple):
     kind: str  # cyclic | commute_cols | commute_rows | stabilize | destabilize
     direction: str | None = None  # cyclic: up/down/left/right
     index: int | None = None  # commute: first of the two adjacent lines
@@ -271,8 +269,7 @@ def apply_script(G: GridDiagram, moves: Iterable[MoveSpec]) -> GridDiagram:
 # Invariance harness
 
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     hat1: HomologySummary
     hat2: HomologySummary
     hat_equal: bool
@@ -323,23 +320,21 @@ def _match_up_to_shift(p1: Laurent, p2: Laurent, l: int) -> tuple[tuple[int, ...
 def invariance_report(G1: GridDiagram, G2: GridDiagram) -> InvarianceReport:
     """Compare hat homology of two grids, matching components up to
     renumbering and per-component Alexander shift; across a stabilization
-    (sizes differing by one) also verify the predicted extra tilde factor."""
-    t1 = _hom.bigraded_homology(G1)
-    t2 = _hom.bigraded_homology(G2)
-    h1 = _hom.hat_reduction(t1)
-    h2 = _hom.hat_reduction(t2)
+    (sizes differing by one) also verify the predicted extra tilde factor
+    on the full tilde homology of both grids."""
+    h1 = _hom.hat_homology(G1)
+    h2 = _hom.hat_homology(G2)
     if h1.l != h2.l:
         return InvarianceReport(h1, h2, False, None, None)
     match = _match_up_to_shift(h1.poincare, h2.poincare, h1.l)
     if match is None:
         return InvarianceReport(h1, h2, False, None, None)
     comp_map, shifts = match
-    report = InvarianceReport(h1, h2, True, comp_map, shifts)
-    if abs(G1.n - G2.n) == 1:
-        report.tilde_factor_ok, report.stabilized_component = _check_tilde_factor(
-            t1, t2, G1, G2, comp_map
-        )
-    return report
+    if abs(G1.n - G2.n) != 1:
+        return InvarianceReport(h1, h2, True, comp_map, shifts)
+    t1 = _hom.bigraded_homology(G1)
+    t2 = _hom.bigraded_homology(G2)
+    return InvarianceReport(h1, h2, True, comp_map, shifts, *_check_tilde_factor(t1, t2, G1, G2, comp_map))
 
 
 def _check_tilde_factor(t1, t2, G1, G2, comp_map) -> tuple[bool, int | None]:

@@ -42,7 +42,6 @@ bit of any label from that table by a short relabel walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 Label = tuple[int, int]
@@ -171,15 +170,25 @@ def _right_mul(peeled: tuple, a: int, b: int) -> int:
 # Spin elements
 
 
-@dataclass(frozen=True)
 class SpinElement:
     """Normal form z^bit * s(perm) of an element of the double cover."""
 
-    perm: tuple[int, ...]
-    bit: int
+    __slots__ = ("perm", "bit")
 
-    def __post_init__(self) -> None:
-        assert self.bit in (0, 1)
+    def __init__(self, perm: tuple[int, ...], bit: int):
+        assert bit in (0, 1)
+        self.perm, self.bit = perm, bit
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.bit) == (other.perm, other.bit)
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.bit))
+
+    def __repr__(self) -> str:
+        return f"SpinElement(perm={self.perm!r}, bit={self.bit!r})"
 
     @property
     def n(self) -> int:

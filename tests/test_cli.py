@@ -192,13 +192,15 @@ def test_homology_tilde_text(grid_file, capsys):
 
 def test_hat_without_the_factor_exits_one(grid_file, capsys, monkeypatch):
     # a torsion-free tilde summary lacking the factor 1 + q^-1 t^-1 that
-    # the second row of the unknot predicts: the peel fails with one line
+    # the second row of the unknot predicts: rank 1 at (0, (2,)) leaves -1
+    # at (-1, (0,)), inside the region 2A >= 0 that the hat path peels, so
+    # the peel fails with one line
     from gridspin import homology
     from gridspin.homology import Bigrading, HomologySummary, Laurent
 
-    p = Laurent.from_dict(1, {(0, (0,)): 1})
-    summary = HomologySummary("tilde", 1, (2,), ((Bigrading(0, (0,)), 1, ()),), p, p)
-    monkeypatch.setattr(homology, "bigraded_homology", lambda G: summary)
+    p = Laurent.from_dict(1, {(0, (2,)): 1})
+    summary = HomologySummary("tilde", 1, (2,), ((Bigrading(0, (2,)), 1, ()),), p, p)
+    monkeypatch.setattr(homology, "bigraded_homology", lambda G, a2=None: summary)
     path = grid_file("u.grid", grid.unknot2())
     code, out, err = run(capsys, "homology", path, "--flavor", "hat")
     assert code == 1 and out == ""

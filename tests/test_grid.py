@@ -161,6 +161,45 @@ def test_gradings_match_oracle():
     assert sum(map(len, by_grading.values())) == 40320
 
 
+def test_region_walk_is_the_filtered_full_walk(monkeypatch):
+    # the walk pruned at 2A >= a2 (lexicographically) keeps exactly the
+    # keys of the full walk at or above a2, with the same lists in the same
+    # order: a2 = 0 on every grid with n <= 5 and on seeded two- and
+    # three-component grids, other thresholds on a knot
+    import random
+
+    grids = [G for n in (2, 3, 4, 5) for G in grid.all_grids(n)]
+    rng = random.Random(2502)
+    wanted = {(6, 2): 3, (6, 3): 2, (7, 2): 2, (7, 3): 2}
+    while any(wanted.values()):
+        G = grid.random_grid(rng.choice((6, 7)), rng)
+        if wanted.get((G.n, G.components.l)):
+            wanted[G.n, G.components.l] -= 1
+            grids.append(G)
+    T = grid.torus_grid(3, 4)
+    cases = [(G, (0,) * G.components.l) for G in grids]
+    cases += [(T, (a,)) for a in (-20, -7, -2, 1, 4, 6, 7)]
+    for G, a2 in cases:
+        want = [(bg, xs) for bg, xs in grid.graded_generators(G).items() if bg[1] >= a2]
+        assert list(grid.graded_generators(G, a2).items()) == want, (G, a2)
+    assert {G.components.l for G in grids} == {1, 2, 3}
+
+    # the pruned walk visits fewer prefix nodes than the full one
+    nodes = []
+    descend = grid._descend
+
+    def counted(*args):
+        nodes.append(None)
+        descend(*args)
+
+    monkeypatch.setattr(grid, "_descend", counted)
+    grid.graded_generators(T)
+    full = len(nodes)
+    nodes.clear()
+    grid.graded_generators(T, (0,))
+    assert len(nodes) < full // 4, (len(nodes), full)
+
+
 def test_unpack_round_trips_at_the_field_bound():
     # every field at +-(5 n^2 - 1), just inside the documented bound, in
     # every sign pattern: a key packed with _field_bits(n) bits per field

@@ -22,10 +22,10 @@ from gridspin.homology import (
     bigraded_homology,
     divide_hat_factor,
     equal_up_to_t_shift,
-    hat_reduction,
     render_polynomial,
     smith_normal_form,
 )
+from oracle_hat import hat_reduction
 from oracle_snf import IntegerMatrix
 
 # ---------------------------------------------------------------------------
@@ -532,6 +532,23 @@ def test_peel_inverts_the_hat_factor(case, data):
                 quotient = divide_hat_factor(quotient, j)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_ranks_with_factor(), st.data())
+def test_region_peel_is_the_full_peel_on_the_region(case, data):
+    # on the bigradings with t2 >= a2 (lexicographically) the peel that
+    # drops the steps out of the region gives the full quotient
+    ranks, j, k = case
+    l = len(next(iter(ranks))[1]) if ranks else 1
+    a2 = data.draw(st.tuples(*[st.integers(-6, 6)] * l))
+    product = ranks
+    for _ in range(k):
+        product = _times_hat_factor(product, j)
+    quotient = {e: c for e, c in product.items() if e[1] >= a2}
+    for _ in range(k):
+        quotient = divide_hat_factor(quotient, j, a2)
+    assert quotient == {e: c for e, c in ranks.items() if c and e[1] >= a2}
+
+
 def test_peel_examples():
     p = {(0, (0,)): 1, (-1, (-2,)): 1}  # 1 + q^-1 t^-1
     assert divide_hat_factor(p, 0) == {(0, (0,)): 1}
@@ -778,6 +795,25 @@ def test_homology_independent_of_basis_order():
             want_rank, want_tor = H.piece(bg[0], bg[1])
             assert free == want_rank
             assert tors.get(up, ()) == want_tor
+
+
+def test_region_hat_matches_the_full_peel():
+    # hat_homology reduces and peels only the bigradings with 2A >= 0 and
+    # fills in the rest by the symmetry of hat link Floer homology; the
+    # oracle peels the whole tilde homology and assumes no symmetry
+    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    rng = random.Random(2501)
+    wanted = {(5, 1): 4, (5, 2): 4, (6, 1): 3, (6, 2): 3, (6, 3): 2, (7, 1): 2, (7, 2): 2, (7, 3): 2}
+    while any(wanted.values()):
+        G = grid.random_grid(rng.choice((5, 6, 7)), rng)
+        if wanted.get((G.n, G.components.l)):
+            wanted[G.n, G.components.l] -= 1
+            grids.append(G)
+    torus = ((2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (2, 6), (3, 5), (4, 4))
+    grids += [grid.torus_grid(p, q) for p, q in torus]
+    for G in grids:
+        assert homology.hat_homology(G) == hat_reduction(bigraded_homology(G)), G
+    assert {G.components.l for G in grids} == {1, 2, 3, 4}
 
 
 def test_hat_reduction_bad_inputs():

@@ -333,3 +333,12 @@ def test_package_loads_no_oracle():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, about 1 MB of
+    # resident memory in every process that runs the command line
+    src = Path(spin.__file__).resolve().parent.parent
+    code = "import sys, gridspin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
