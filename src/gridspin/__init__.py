@@ -36,6 +36,7 @@ from .homology import (
     bigraded_homology,
     hat_homology,
     smith_normal_form,
+    tilde_homology,
 )
 from .moves import (
     MoveError,

@@ -22,8 +22,9 @@ from . import spin as _spin
 
 OK, FAIL, BAD_INPUT = 0, 1, 2
 
-# size bound of each command that enumerates all n! generators; check reads
-# every empty rectangle with its marker counts, homology only marker-free ones
+# largest grid each command that walks the generators accepts: check reads
+# all n! of them with every empty rectangle and its marker counts, the
+# homology commands only a symmetric half of them and marker-free rectangles
 MAX_N = {"homology": 9, "alexander": 9, "invariance": 9, "check": 8}
 # info draws the grid (2 n^2 - 1 characters) only up to this size
 MAX_DRAWN_N = 100
@@ -38,7 +39,7 @@ def _load_bounded(path: str, command: str) -> _grid.GridDiagram:
     G = _load_grid(path)
     if G.n > MAX_N[command]:
         raise _grid.GridError(
-            "TooLarge", f"grid size {G.n} exceeds the bound n <= {MAX_N[command]} (all n! generators are enumerated)"
+            "TooLarge", f"grid size {G.n} exceeds the size bound n <= {MAX_N[command]} of the {command} command"
         )
     return G
 
@@ -175,7 +176,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_homology(args) -> int:
     G = _load_bounded(args.grid, args.command)
-    summary = _hom.hat_homology(G) if args.flavor == "hat" else _hom.bigraded_homology(G)
+    summary = _hom.hat_homology(G) if args.flavor == "hat" else _hom.tilde_homology(G)
     _print_summary(summary, args.json)
     return OK
 

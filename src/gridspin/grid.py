@@ -253,12 +253,11 @@ def _gradings(G: GridDiagram, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def graded_generators(
-    G: GridDiagram, a2: tuple[int, ...] | None = None
+    G: GridDiagram, a2: tuple[int, ...]
 ) -> dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]:
-    """Every generator, or with ``a2`` those whose doubled Alexander
-    grading is lexicographically at least ``a2``, grouped by (Maslov
-    degree, doubled Alexander grading), keys and lists in
-    ``itertools.permutations`` order.
+    """The generators whose doubled Alexander grading is lexicographically
+    at least ``a2``, grouped by (Maslov degree, doubled Alexander
+    grading), keys and lists in ``itertools.permutations`` order.
 
     A depth-first walk of the permutation prefix tree: a prefix x[0..c-1]
     carries its packed partial sum, and each child adds one entry of
@@ -266,8 +265,7 @@ def graded_generators(
     replace n steps per generator.  Inversions enter the Maslov field
     alone, so a prefix's A_1 is the sum of its points' A_1 fields.  The
     walk carries it too and drops a prefix whose A_1 cannot reach a2[0]
-    even if every later column took its largest A_1 weight; without a2
-    the floor lies below every generator and nothing is dropped.  Each
+    even if every later column took its largest A_1 weight.  Each
     distinct key is decoded once, at the end, and the keys below a2 are
     left out.  ``_descend`` is a module function: a nested function that
     called itself would be a reference cycle holding every generator
@@ -279,14 +277,13 @@ def graded_generators(
     alex1 = [[_unpack(w, bits, l)[1][0] for w in row] for row in table]
     # floors[c]: the least A_1 of a prefix x[0..c] from which the columns
     # after c can still reach the threshold
-    floor = a2[0] if a2 is not None else sum(map(min, alex1))
-    floors = [floor - sum(map(max, alex1[c + 1:])) for c in range(n)]
+    floors = [a2[0] - sum(map(max, alex1[c + 1:])) for c in range(n)]
     groups: dict[int, list[tuple[int, ...]]] = {}
     _descend(table, alex1, floors, 0, 0, 0, tuple(range(n)), (), groups)
     graded = {}
     for key, xs in groups.items():
         bg = _unpack(key, bits, l)
-        if a2 is None or bg[1] >= a2:
+        if bg[1] >= a2:
             graded[bg] = xs
     return graded
 

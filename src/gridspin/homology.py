@@ -17,22 +17,22 @@ form a basis, the first part is a boundary that d^2 = 0 kills, and the
 block's Smith form, torsion included, is that of its columns outside P.
 Pivots of the residual stage need not be units and clear nothing.
 
-Hat homology (``hat_homology``) walks, reduces and peels only the region
-R of bigradings with 2A >= 0 lexicographically, and fills in the rest by
-the symmetry HFL-hat_d(L, h) = HFL-hat_{d - 2 sum h_i}(L, -h)
-(Ozsvath-Szabo, math/0209056, math/0512286).  The blocks keep the
-Alexander grading and the peel of the free factor of each extra grid row
-only moves rank down in one A_j, so the ranks on R depend on R alone.  So
-the refusal of tilde torsion and ``NotDivisible`` read R only, and
-nothing is lost.  Tilde = hat (x) V^(n - l) with V free holds hat at the
-same bigrading, so tilde has torsion exactly when hat has; hat over Z is
-symmetric, so it has torsion exactly when it has some in R, where tilde
-then has it too.  Outside R the peel would only recheck what the
-symmetry already fixes; the full peel of ``tests/oracle_hat.py`` does
-that against this path.  The symmetry assertion of
-``alexander_polynomial`` holds by construction;
-``tests/oracle_alexander.py`` is its guard.  The Poincare, Euler and
-Alexander polynomials are exact Laurent polynomials.
+Both flavours reduce only the region R of bigradings with 2A >= c
+lexicographically and fill in the rest by a symmetry over Z, torsion
+included: (M, 2A) -> (M - sum(2A - c), 2c - 2A).  The blocks keep the
+Alexander grading, so the homology on R is R's own; with d = 2A - c,
+d > 0 gives -d < 0 lexicographically, so the mirror takes R off the
+plane 2A = c one to one onto the rest and fixes that plane.  Hat has
+c = 0: HFL-hat_d(L, h) = HFL-hat_{d - 2 sum h_i}(L, -h) (Ozsvath-Szabo,
+math/0209056, math/0512286).  Tilde = hat (x) V^(n - l), with V_j free
+at (0, 0) and (-1, -2 e_j) (Manolescu-Ozsvath-Sarkar, math/0607691), so
+tilde is symmetric about c = (1 - n_j)_j, the sum of the centres.  Hat
+peels V_j off its R, which only moves rank down in one A_j, so the peel
+reads R alone; tilde holds hat at the same bigrading, and hat torsion
+anywhere has a mirror image in R, so refusing tilde torsion in R loses
+nothing.  ``tests/oracle_hat.py`` checks both against the full walk and
+the full peel, and ``tests/oracle_alexander.py`` guards the symmetry
+assertion of ``alexander_polynomial``, which holds by construction.
 
 Alexander exponents are half-integers in general, so t-exponents are
 stored doubled throughout; q-exponents (Maslov) stay plain integers.
@@ -337,11 +337,14 @@ class Bigrading(NamedTuple):
     alexander2: tuple[int, ...]
 
 
+Piece = tuple[Bigrading, int, tuple[int, ...]]  # (bigrading, free rank, torsion)
+
+
 class HomologySummary(NamedTuple):
     flavor: str
     l: int
     n_i: tuple[int, ...]
-    pieces: tuple[tuple[Bigrading, int, tuple[int, ...]], ...]  # (bigrading, free rank, torsion)
+    pieces: tuple[Piece, ...]
     poincare: Laurent
     euler: Laurent
 
@@ -376,13 +379,13 @@ class HomologySummary(NamedTuple):
         }
 
 
-def bigraded_homology(G: GridDiagram, a2: tuple[int, ...] | None = None) -> HomologySummary:
-    """Homology of the marker-free differential, split by bigrading: at
-    every bigrading, or with ``a2`` at those whose doubled Alexander
-    grading is lexicographically at least ``a2``.  Each block maps one
-    Alexander grading to itself, so any set of Alexander gradings spans a
-    direct summand of the complex, and its blocks are the full complex's."""
-    comps = G.components
+def bigraded_homology(G: GridDiagram, a2: tuple[int, ...]) -> list[Piece]:
+    """Homology of the marker-free differential at the bigradings whose
+    doubled Alexander grading is lexicographically at least ``a2``: the
+    (bigrading, free rank, torsion) pieces that are not zero, sorted by
+    bigrading.  Each block maps one Alexander grading to itself, so any
+    set of Alexander gradings spans a direct summand of the complex, and
+    its blocks are the full complex's."""
     by_grading = {Bigrading(*bg): xs for bg, xs in _grid.graded_generators(G, a2).items()}
 
     # each block is reduced as soon as it is built, so the columns of one
@@ -419,7 +422,6 @@ def bigraded_homology(G: GridDiagram, a2: tuple[int, ...] | None = None) -> Homo
         snfs[bg] = SmithForm(S.diagonal)
 
     pieces = []
-    poincare: dict[Exponent, int] = {}
     for bg in sorted(by_grading):
         dim = len(by_grading[bg])
         rank_out = snfs[bg].rank
@@ -430,17 +432,27 @@ def bigraded_homology(G: GridDiagram, a2: tuple[int, ...] | None = None) -> Homo
         assert free >= 0
         if free or torsion:
             pieces.append((bg, free, torsion))
-        if free:
-            poincare[(bg.maslov, bg.alexander2)] = free
-    p = Laurent.from_dict(comps.l, poincare)
-    return HomologySummary(
-        flavor="tilde",
-        l=comps.l,
-        n_i=comps.n_i,
-        pieces=tuple(pieces),
-        poincare=p,
-        euler=p.at_q_minus_one(),
-    )
+    return pieces
+
+
+def _mirrored(flavor: str, G: GridDiagram, pieces: Sequence[Piece], centre: tuple[int, ...]) -> HomologySummary:
+    """The summary of ``pieces``, on the region 2A >= centre, and their mirror images."""
+    comps = G.components
+    every = list(pieces)
+    for bg, free, torsion in pieces:
+        d = [a - c for a, c in zip(bg.alexander2, centre)]
+        if any(d):
+            every.append((Bigrading(bg.maslov - sum(d), tuple(c - e for c, e in zip(centre, d))), free, torsion))
+    every.sort()
+    p = Laurent.from_dict(comps.l, {(bg.maslov, bg.alexander2): free for bg, free, _ in every})
+    return HomologySummary(flavor, comps.l, comps.n_i, tuple(every), p, p.at_q_minus_one())
+
+
+def tilde_homology(G: GridDiagram) -> HomologySummary:
+    """Tilde homology: the pieces on the region 2A >= (1 - n_j)_j and their
+    mirror images, (M, 2A) -> (M - sum 2A_i - (n - l), -2A - 2(n_j - 1)_j)."""
+    centre = tuple(1 - k for k in G.components.n_i)
+    return _mirrored("tilde", G, bigraded_homology(G, centre), centre)
 
 
 def divide_hat_factor(
@@ -479,33 +491,20 @@ def divide_hat_factor(
 
 
 def hat_homology(G: GridDiagram) -> HomologySummary:
-    """Hat homology: tilde homology on the region R of bigradings with
-    2A >= 0 lexicographically, the factor V_j peeled off it n_j - 1 times
-    per component, and the rest filled in by the symmetry
-    HFL-hat_d(L, h) = HFL-hat_{d - 2 sum h_i}(L, -h) (Ozsvath-Szabo), which
-    takes (M, 2A) to (M - sum 2A_i, -2A).  Tilde torsion in R, or a
-    negative rank on the way, raises NotDivisible."""
+    """Hat homology: the tilde pieces on the region 2A >= 0, the factor
+    V_j peeled off them n_j - 1 times per component, and their mirror
+    images.  Tilde torsion there, or a negative rank on the way, raises
+    NotDivisible."""
     comps = G.components
     zero = (0,) * comps.l
-    tilde = bigraded_homology(G, zero)
-    if tilde.has_torsion:
+    pieces = bigraded_homology(G, zero)
+    if any(torsion for _, _, torsion in pieces):
         raise NotDivisible("tilde homology has torsion; hat ranks are undefined here")
-    ranks = dict(tilde.poincare.terms)
+    ranks = {(bg.maslov, bg.alexander2): free for bg, free, _ in pieces}
     for j in range(comps.l):
         for _ in range(comps.n_i[j] - 1):
             ranks = divide_hat_factor(ranks, j, zero)
-    for (q, t2), c in list(ranks.items()):
-        if t2 != zero:
-            ranks[(q - sum(t2), tuple(-a for a in t2))] = c
-    quotient = Laurent.from_dict(comps.l, ranks)
-    return HomologySummary(
-        flavor="hat",
-        l=comps.l,
-        n_i=comps.n_i,
-        pieces=tuple((Bigrading(q, t2), c, ()) for (q, t2), c in quotient.terms),
-        poincare=quotient,
-        euler=quotient.at_q_minus_one(),
-    )
+    return _mirrored("hat", G, [(Bigrading(q, t2), c, ()) for (q, t2), c in ranks.items()], zero)
 
 
 def alexander_polynomial(G: GridDiagram) -> Laurent:

@@ -1,14 +1,19 @@
-"""Hat homology by the full top-down peel of the full tilde homology.
+"""Tilde homology from the full walk, and hat homology by the full
+top-down peel of it.
 
-The production path (``homology.hat_homology``) reduces and peels only
-the bigradings with 2A >= 0 lexicographically and fills in the rest by
-the symmetry of hat link Floer homology.  This oracle assumes no
-symmetry: it peels the factor V_j off the tilde ranks at every bigrading,
-n_j - 1 times per component j, and raises NotDivisible on a negative
-remainder anywhere, so it also proves tilde = hat (x) V^(n - l).
+The production paths (``homology.tilde_homology`` and
+``homology.hat_homology``) reduce only a symmetric half of the
+bigradings and fill in the rest by a symmetry.  These oracles assume no
+symmetry: ``full_tilde`` reduces the region at a floor below every
+generator, so every bigrading, and ``hat_reduction`` peels the factor
+V_j off the tilde ranks at every bigrading, n_j - 1 times per component
+j, and raises NotDivisible on a negative remainder anywhere, so it also
+proves tilde = hat (x) V^(n - l).
 """
 from __future__ import annotations
 
+from gridspin import homology
+from gridspin.grid import GridDiagram
 from gridspin.homology import (
     Bigrading,
     HomologySummary,
@@ -16,6 +21,20 @@ from gridspin.homology import (
     NotDivisible,
     divide_hat_factor,
 )
+
+
+def below_every_generator(G: GridDiagram) -> tuple[int, ...]:
+    """A doubled Alexander grading lexicographically below that of every
+    generator: each lies below 5 n^2 in absolute value."""
+    return (-5 * G.n * G.n,) * G.components.l
+
+
+def full_tilde(G: GridDiagram) -> HomologySummary:
+    """Tilde homology of every bigrading, read off the blocks of all n!
+    generators through ``homology.bigraded_homology``; no mirror."""
+    pieces = tuple(homology.bigraded_homology(G, below_every_generator(G)))
+    p = Laurent.from_dict(G.components.l, {(bg.maslov, bg.alexander2): free for bg, free, _ in pieces})
+    return HomologySummary("tilde", G.components.l, G.components.n_i, pieces, p, p.at_q_minus_one())
 
 
 def hat_reduction(H: HomologySummary) -> HomologySummary:

@@ -14,7 +14,7 @@ import oracle_clifford
 import oracle_mod2
 import oracle_rectangles
 import random_moves
-from oracle_hat import hat_reduction
+from oracle_hat import full_tilde, hat_reduction
 from oracle_signs import check_coboundary_equivalence, reversed_sign, sign_assignment, signed_table, swapped_sign
 
 from gridspin import complexes, grid, homology, moves, spin
@@ -175,11 +175,11 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
 def test_criterion_06_unknot_exact():
     t0 = time.time()
     G = grid.unknot2()
-    H = homology.bigraded_homology(G)
+    H = homology.tilde_homology(G)
     assert H.total_rank == 2 and not H.has_torsion
     assert H.piece(0, (0,)) == (1, ())
     assert H.piece(-1, (-2,)) == (1, ())
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 1 and hat.piece(0, (0,)) == (1, ())
     assert homology.render_polynomial(homology.alexander_polynomial(G)) == "1"
     elapsed = time.time() - t0
@@ -190,7 +190,7 @@ def test_criterion_06_unknot_exact():
 def test_criterion_07_trefoil():
     t0 = time.time()
     T = grid.trefoil5()
-    H = homology.bigraded_homology(T)
+    H = homology.tilde_homology(T)
     assert not H.has_torsion
     # cross-check against the independent unsigned mod-2 oracle on all 120
     # generators; torsion-freeness makes the integer rank equal the mod-2
@@ -199,7 +199,7 @@ def test_criterion_07_trefoil():
     mine = {(bg.maslov, bg.alexander2): r for bg, r, _ in H.pieces if r}
     assert mine == oracle
     assert H.total_rank == sum(oracle.values()) == 48
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(T))
     assert hat.total_rank == 3
     levels = sorted(bg.alexander2[0] for bg, r, _ in hat.pieces for _ in range(r))
     assert levels == [-2, 0, 2]  # three consecutive Alexander gradings

@@ -191,21 +191,52 @@ def test_homology_tilde_text(grid_file, capsys):
 
 
 def test_hat_without_the_factor_exits_one(grid_file, capsys, monkeypatch):
-    # a torsion-free tilde summary lacking the factor 1 + q^-1 t^-1 that
+    # torsion-free region pieces lacking the factor 1 + q^-1 t^-1 that
     # the second row of the unknot predicts: rank 1 at (0, (2,)) leaves -1
     # at (-1, (0,)), inside the region 2A >= 0 that the hat path peels, so
     # the peel fails with one line
     from gridspin import homology
-    from gridspin.homology import Bigrading, HomologySummary, Laurent
+    from gridspin.homology import Bigrading
 
-    p = Laurent.from_dict(1, {(0, (2,)): 1})
-    summary = HomologySummary("tilde", 1, (2,), ((Bigrading(0, (2,)), 1, ()),), p, p)
-    monkeypatch.setattr(homology, "bigraded_homology", lambda G, a2=None: summary)
+    monkeypatch.setattr(homology, "bigraded_homology", lambda G, a2: [(Bigrading(0, (2,)), 1, ())])
     path = grid_file("u.grid", grid.unknot2())
     code, out, err = run(capsys, "homology", path, "--flavor", "hat")
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: NotDivisible: ")
+
+
+def test_region_torsion_is_mirrored_or_refused(grid_file, capsys, monkeypatch):
+    # no grid in reach has tilde torsion, so the region's pieces are made
+    # up: Z/2 off the unknot's fixed plane 2A = 1 - n_1 = -1, at (0, 1),
+    # and Z/2 on it, at (-1, -1).  Tilde shows the first at its bigrading
+    # and at its mirror (0 - (1 + 1), -1 - 2) = (-2, -3), and the second
+    # once; hat refuses tilde torsion with one line
+    from gridspin import homology
+    from gridspin.homology import Bigrading
+
+    floors = []
+
+    def pieces(G, a2):
+        floors.append(a2)
+        return [(Bigrading(-1, (-1,)), 0, (2,)), (Bigrading(0, (1,)), 0, (2,))]
+
+    monkeypatch.setattr(homology, "bigraded_homology", pieces)
+    path = grid_file("u.grid", grid.unknot2())
+    code, out, err = run(capsys, "homology", path, "--json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [(p["maslov"], p["alexander2"], p["free_rank"], p["torsion"]) for p in data["pieces"]] == [
+        (-2, [-3], 0, [2]),
+        (-1, [-1], 0, [2]),
+        (0, [1], 0, [2]),
+    ]
+    assert data["flavor"] == "tilde" and data["poincare"] == data["euler"] == "0"
+    code, out, err = run(capsys, "homology", path, "--flavor", "hat")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NotDivisible: ")
+    assert floors == [(-1,), (0,)]
 
 
 def test_alexander(grid_file, capsys):

@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 import oracle_mod2
 import oracle_rectangles as rects
+from oracle_hat import below_every_generator
 from oracle_signs import is_horizontally_torn
 from gridspin import grid
 from gridspin.grid import GridDiagram, GridError
@@ -147,7 +149,7 @@ def test_gradings_match_oracle():
             got = (grid.maslov(G, x), grid.alexander2(G, x))
             assert got == oracle_mod2.gradings(G.n, G.o_rows, G.x_rows, x), (G, x)
             by_grading.setdefault(got, []).append(x)
-        assert list(grid.graded_generators(G).items()) == list(by_grading.items()), G
+        assert list(grid.graded_generators(G, below_every_generator(G)).items()) == list(by_grading.items()), G
     # T(3, 5) at n = 8, past the sizes above: the oracle on a seeded
     # sample, the walk on all 40,320 generators
     T = grid.torus_grid(3, 5)
@@ -157,7 +159,7 @@ def test_gradings_match_oracle():
     by_grading = {}
     for x in itertools.permutations(range(8)):
         by_grading.setdefault(grid._gradings(T, x), []).append(x)
-    assert list(grid.graded_generators(T).items()) == list(by_grading.items())
+    assert list(grid.graded_generators(T, below_every_generator(T)).items()) == list(by_grading.items())
     assert sum(map(len, by_grading.values())) == 40320
 
 
@@ -165,7 +167,9 @@ def test_region_walk_is_the_filtered_full_walk(monkeypatch):
     # the walk pruned at 2A >= a2 (lexicographically) keeps exactly the
     # keys of the full walk at or above a2, with the same lists in the same
     # order: a2 = 0 on every grid with n <= 5 and on seeded two- and
-    # three-component grids, other thresholds on a knot
+    # three-component grids, other thresholds on a knot.  The full walk
+    # is the one at a floor below every generator, which
+    # test_gradings_match_oracle holds to the per-generator grouping
     import random
 
     grids = [G for n in (2, 3, 4, 5) for G in grid.all_grids(n)]
@@ -180,7 +184,9 @@ def test_region_walk_is_the_filtered_full_walk(monkeypatch):
     cases = [(G, (0,) * G.components.l) for G in grids]
     cases += [(T, (a,)) for a in (-20, -7, -2, 1, 4, 6, 7)]
     for G, a2 in cases:
-        want = [(bg, xs) for bg, xs in grid.graded_generators(G).items() if bg[1] >= a2]
+        full = grid.graded_generators(G, below_every_generator(G))
+        assert sum(map(len, full.values())) == math.factorial(G.n)
+        want = [(bg, xs) for bg, xs in full.items() if bg[1] >= a2]
         assert list(grid.graded_generators(G, a2).items()) == want, (G, a2)
     assert {G.components.l for G in grids} == {1, 2, 3}
 
@@ -193,7 +199,7 @@ def test_region_walk_is_the_filtered_full_walk(monkeypatch):
         descend(*args)
 
     monkeypatch.setattr(grid, "_descend", counted)
-    grid.graded_generators(T)
+    grid.graded_generators(T, below_every_generator(T))
     full = len(nodes)
     nodes.clear()
     grid.graded_generators(T, (0,))

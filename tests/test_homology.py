@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -24,8 +23,9 @@ from gridspin.homology import (
     equal_up_to_t_shift,
     render_polynomial,
     smith_normal_form,
+    tilde_homology,
 )
-from oracle_hat import hat_reduction
+from oracle_hat import full_tilde, hat_reduction
 from oracle_snf import IntegerMatrix
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,13 @@ def test_marker_free_targets_repeat_on_split_grids():
     assert [y for _, y in found] == [(0, 1, 2, 3)] * 2
     assert sorted(oracle_spin.right_mul(x, *label) for label, _ in found) == [0, 1]
     assert (x, (0, 1, 2, 3)) in _cancelling_targets(G)
-    assert _mod2_ranks(bigraded_homology(G)) == oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows)
+    assert _mod2_ranks(tilde_homology(G)) == oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows)
     assert sum(len(_cancelling_targets(G)) for n in (2, 3, 4) for G in grid.all_grids(n)) == 32
 
 
 def test_one_snf_call_per_bigrading_block(monkeypatch):
-    # the assembly reduces every block once, through the module-level name
+    # the assembly reduces every block of the region at the tilde centre
+    # 2A >= (1 - n_j)_j once, through the module-level name
     calls = []
     solve = homology.smith_normal_form
 
@@ -189,14 +190,16 @@ def test_one_snf_call_per_bigrading_block(monkeypatch):
     monkeypatch.setattr(homology, "smith_normal_form", counting)
     for G in (grid.hopf4(), grid.trefoil5()):
         calls.clear()
-        H = bigraded_homology(G)
+        centre = tuple(1 - k for k in G.components.n_i)
+        H = bigraded_homology(G, centre)
         sizes = {}
         for x in itertools.permutations(range(G.n)):
             key = (grid.maslov(G, x), grid.alexander2(G, x))
-            sizes[key] = sizes.get(key, 0) + 1
+            if key[1] >= centre:
+                sizes[key] = sizes.get(key, 0) + 1
         assert sorted(calls) == sorted(sizes.values())
         monkeypatch.setattr(homology, "smith_normal_form", solve)
-        assert bigraded_homology(G) == H
+        assert bigraded_homology(G, centre) == H
         monkeypatch.setattr(homology, "smith_normal_form", counting)
 
 
@@ -212,7 +215,7 @@ def test_assembly_leaves_no_reference_cycles():
     try:
         gc.collect()
         for G in (grid.trefoil5(), grid.hopf4()):
-            bigraded_homology(G)
+            tilde_homology(G)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -260,8 +263,9 @@ def test_snf_n7_knot_blocks():
 
 
 def _uncleared_pieces(G):
-    """The pieces of ``bigraded_homology`` from full blocks: every
-    generator's column is scanned and reduced, none is cleared."""
+    """The pieces of the tilde homology at every bigrading from full
+    blocks: every generator's column is scanned and reduced, none is
+    cleared, and nothing is mirrored."""
     snfs, dims = {}, {}
     for bg, A in _boundary_blocks(G):
         snfs[bg] = smith_normal_form(oracle_snf.columns(A))
@@ -301,17 +305,18 @@ def test_clearing_matches_full_blocks():
     # in which no generator is cleared
     count = 0
     for G in _clearing_grids():
-        assert list(bigraded_homology(G).pieces) == _uncleared_pieces(G), G
+        assert list(tilde_homology(G).pieces) == _uncleared_pieces(G), G
         count += 1
     assert count == 230 + 20 + 6 + 1
 
 
 def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
     # only the generators no block above pivoted on are scanned; when every
-    # pivot is a unit, the pivots of all blocks number the total rank of the
-    # differential, (n! - tilde rank) / 2, so (n! + tilde rank) / 2 are
+    # pivot is a unit, the pivots of all blocks on the region R at the
+    # tilde centre number the rank of the differential there,
+    # (|R| - rank of R's homology) / 2, so (|R| + that rank) / 2 are
     # scanned.  An assembly that walks up in Maslov degree clears nothing
-    # and scans all n!
+    # and scans all of R
     scans, unit_only = [], []
     scan, solve = grid.empty_rectangles, homology.smith_normal_form
 
@@ -332,11 +337,13 @@ def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
     for G in grids:
         scans.clear()
         unit_only.clear()
-        H = bigraded_homology(G)
-        assert all(unit_only) and not H.has_torsion
-        assert len(scans) == len(set(scans)) == (math.factorial(G.n) + H.total_rank) // 2
-        counts.append(len(scans))
-    assert counts[0] == 84  # of 120 for the trefoil
+        centre = tuple(1 - k for k in G.components.n_i)
+        pieces = bigraded_homology(G, centre)
+        region = sum(grid.alexander2(G, x) >= centre for x in itertools.permutations(range(G.n)))
+        assert all(unit_only) and not any(torsion for _, _, torsion in pieces)
+        assert len(scans) == len(set(scans)) == (region + sum(free for _, free, _ in pieces)) // 2
+        counts.append((len(scans), region))
+    assert counts[0] == (57, 83)  # 83 of the trefoil's 120 generators lie in R
 
 
 def test_clearing_keeps_non_unit_pivot_rows():
@@ -581,13 +588,13 @@ def test_equal_up_to_t_shift():
 
 def test_unknot_homology_exact():
     G = grid.unknot2()
-    H = bigraded_homology(G)
+    H = tilde_homology(G)
     assert H.total_rank == 2 and not H.has_torsion
     assert H.piece(0, (0,)) == (1, ())
     assert H.piece(-1, (-2,)) == (1, ())
     assert render_polynomial(H.poincare) == "1 + q^-1*t^-1"
     assert render_polynomial(H.euler) == "1 - t^-1"
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 1 and hat.piece(0, (0,)) == (1, ())
     assert render_polynomial(alexander_polynomial(G)) == "1"
 
@@ -596,27 +603,27 @@ def test_unknot_3x3_hat():
     # a stabilized unknot: bigger tilde group, same hat homology
     G = GridDiagram(3, (2, 0, 1), (0, 1, 2))
     assert G.components.l == 1
-    H = bigraded_homology(G)
+    H = tilde_homology(G)
     assert H.total_rank == 4
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 1
     assert render_polynomial(alexander_polynomial(G)) == "1"
 
 
 def test_unlink_homology():
     G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
-    H = bigraded_homology(G)
+    H = tilde_homology(G)
     assert H.total_rank == 8 and not H.has_torsion
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 2
     assert render_polynomial(hat.poincare) == "1 + q^-1"
 
 
 def test_trefoil_homology():
     T = grid.trefoil5()
-    H = bigraded_homology(T)
+    H = tilde_homology(T)
     assert H.total_rank == 48 and not H.has_torsion
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(T))
     assert hat.total_rank == 3
     gradings = sorted(bg.alexander2[0] for bg, r, _ in hat.pieces)
     assert gradings == [-2, 0, 2]  # three consecutive Alexander levels
@@ -667,7 +674,7 @@ def test_torus_knots_match_closed_form(p, q):
     for k in range(1, len(staircase)):
         d -= 1 if k % 2 == 0 else 2 * (staircase[k - 1][0] - staircase[k][0]) - 1
         expected[(-d, (-2 * staircase[k][0],))] = 1
-    hat = hat_reduction(bigraded_homology(G))
+    hat = hat_reduction(full_tilde(G))
     assert {(bg.maslov, bg.alexander2): r for bg, r, _ in hat.pieces} == expected
     assert not hat.has_torsion
 
@@ -711,7 +718,7 @@ def test_winding_determinant_oracle():
             assert got == oracle_alexander.alexander_polynomial(G.o_rows, G.x_rows), G
         else:
             chi = oracle_alexander.euler_at_t(G.o_rows, G.x_rows)
-            got = _at_one_t(hat_reduction(bigraded_homology(G)).euler)
+            got = _at_one_t(hat_reduction(full_tilde(G)).euler)
             assert got in (chi, [-c for c in chi]), G
             links += bool(chi)
     assert knots == 285 and links == 32
@@ -728,8 +735,7 @@ def test_torus_grid_shape():
 
 def test_hopf_link_hat():
     G = grid.hopf4()
-    H = bigraded_homology(G)
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 4  # Hopf link hat homology has rank four
 
 
@@ -737,7 +743,7 @@ def test_tilde_euler_factors_through_alexander():
     # for knots the tilde Euler characteristic carries the extra factor
     # (1 - 1/t)^(n-1) on top of the Alexander polynomial
     for G in (grid.unknot2(), grid.trefoil5()):
-        H = bigraded_homology(G)
+        H = tilde_homology(G)
         delta = alexander_polynomial(G)
         n = G.n
         expected = delta
@@ -760,7 +766,7 @@ def test_mod2_oracle_agrees_on_random_grids():
     grids += [grid.random_grid(5, rng) for _ in range(5)]
     grids += [grid.random_grid(6, rng) for _ in range(2)]
     for G in grids:
-        assert oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows) == _mod2_ranks(bigraded_homology(G)), G
+        assert oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows) == _mod2_ranks(tilde_homology(G)), G
 
 
 def test_homology_independent_of_basis_order():
@@ -773,7 +779,7 @@ def test_homology_independent_of_basis_order():
     pieces = {}
     for x in gens:
         pieces.setdefault(grading[x], []).append(x)
-    H = bigraded_homology(G)
+    H = tilde_homology(G)
     for _ in range(3):
         shuffled = {bg: rng.sample(members, len(members)) for bg, members in pieces.items()}
         index = {bg: {x: i for i, x in enumerate(v)} for bg, v in shuffled.items()}
@@ -797,10 +803,9 @@ def test_homology_independent_of_basis_order():
             assert tors.get(up, ()) == want_tor
 
 
-def test_region_hat_matches_the_full_peel():
-    # hat_homology reduces and peels only the bigradings with 2A >= 0 and
-    # fills in the rest by the symmetry of hat link Floer homology; the
-    # oracle peels the whole tilde homology and assumes no symmetry
+def _region_grids():
+    """Every grid with n <= 4, seeded n = 5..7 grids of one to three
+    components and torus grids of one to four components."""
     grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
     rng = random.Random(2501)
     wanted = {(5, 1): 4, (5, 2): 4, (6, 1): 3, (6, 2): 3, (6, 3): 2, (7, 1): 2, (7, 2): 2, (7, 3): 2}
@@ -811,21 +816,36 @@ def test_region_hat_matches_the_full_peel():
             grids.append(G)
     torus = ((2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (2, 6), (3, 5), (4, 4))
     grids += [grid.torus_grid(p, q) for p, q in torus]
-    for G in grids:
-        assert homology.hat_homology(G) == hat_reduction(bigraded_homology(G)), G
     assert {G.components.l for G in grids} == {1, 2, 3, 4}
+    return grids
+
+
+def test_region_hat_matches_the_full_peel():
+    # hat_homology reduces and peels only the bigradings with 2A >= 0 and
+    # fills in the rest by the symmetry of hat link Floer homology; the
+    # oracle peels the tilde homology of every bigrading, read off the
+    # full walk, and assumes no symmetry
+    for G in _region_grids():
+        assert homology.hat_homology(G) == hat_reduction(full_tilde(G)), G
+
+
+def test_region_tilde_matches_the_full_walk():
+    # tilde_homology reduces only the bigradings with 2A >= (1 - n_j)_j
+    # and fills in the rest by the symmetry of tilde, torsion included;
+    # the oracle reduces the blocks of all n! generators
+    for G in _region_grids():
+        assert tilde_homology(G) == full_tilde(G), G
 
 
 def test_hat_reduction_bad_inputs():
     G = grid.unknot2()
-    H = bigraded_homology(G)
-    hat = hat_reduction(H)
+    hat = hat_reduction(full_tilde(G))
     with pytest.raises(ValueError):
         hat_reduction(hat)
 
 
 def test_summary_json_shape():
     G = grid.unknot2()
-    d = bigraded_homology(G).to_json_dict()
+    d = tilde_homology(G).to_json_dict()
     assert set(d) == {"flavor", "pieces", "poincare", "euler"}
     assert d["pieces"][0].keys() == {"maslov", "alexander2", "free_rank", "torsion"}
