@@ -4,12 +4,14 @@ Moves: the four cyclic permutations, commutation of adjacent columns or
 rows (legal when the two marker spans are disjoint or strictly nested),
 and (de)stabilization in all four variants at any marker.
 
-Stabilization splits the chosen marker's cell into a 2x2 block holding
-two markers of its type on a diagonal and one of the opposite type; the
-variant letter names the corner taken by the new opposite-type marker
-(the new column is inserted to the right of the marker's column, the new
-row above its row).  Destabilization inverts this: it recognises a 2x2
-block holding three markers and merges it back to one.
+Stabilization at the marker cell (c, r) inserts a column right of c and a
+row above r, making (c, r) the south-west corner of a 2x2 block.  The new
+opposite-type marker takes the variant's corner (c + dc, r + dr), where
+dc = 1 for E and dr = 1 for N; two of the split type fill the other
+diagonal, and the opposite-type markers of column c and row r move to the
+block's other column c + 1 - dc and row r + 1 - dr.  Destabilization
+inverts this: a block's three markers leave, column c + 1 and row r + 1
+close up, and the type with two of them takes (c, r).
 
 The invariance harness compares hat homology across two grids, matching
 components up to renumbering and Alexander shift, and checks the extra
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
-from . import grid as _grid
 from . import homology as _hom
 from .grid import GridDiagram
 from .homology import HomologySummary, Laurent
@@ -82,17 +83,17 @@ def parse_script(text: str) -> list[MoveSpec]:
 # Applying moves
 
 
+# (column offset, row shift) per direction: column k takes column k + dc's
+# markers, each row moved by dv
+_CYCLIC = {"up": (0, 1), "down": (0, -1), "left": (1, 0), "right": (-1, 0)}
+
+
 def _cyclic(G: GridDiagram, direction: str) -> GridDiagram:
-    n = G.n
-    if direction == "up":
-        return GridDiagram(n, tuple((r + 1) % n for r in G.o_rows), tuple((r + 1) % n for r in G.x_rows))
-    if direction == "down":
-        return GridDiagram(n, tuple((r - 1) % n for r in G.o_rows), tuple((r - 1) % n for r in G.x_rows))
-    if direction == "left":
-        return GridDiagram(n, tuple(G.o_rows[(c + 1) % n] for c in range(n)), tuple(G.x_rows[(c + 1) % n] for c in range(n)))
-    if direction == "right":
-        return GridDiagram(n, tuple(G.o_rows[(c - 1) % n] for c in range(n)), tuple(G.x_rows[(c - 1) % n] for c in range(n)))
-    raise MoveError("Parse", f"bad cyclic direction {direction!r}")
+    if direction not in _CYCLIC:
+        raise MoveError("Parse", f"bad cyclic direction {direction!r}")
+    n, (dc, dv) = G.n, _CYCLIC[direction]
+    o, x = ([(rows[(k + dc) % n] + dv) % n for k in range(n)] for rows in (G.o_rows, G.x_rows))
+    return GridDiagram(n, o, x)
 
 
 def _interval(a: int, b: int) -> tuple[int, int]:
@@ -146,66 +147,26 @@ def _stabilize(G: GridDiagram, axis: str, index: int, marker: str, variant: str)
     n = G.n
     if variant not in VARIANTS or marker not in "XO":
         raise MoveError("Parse", f"bad stabilization {marker}{variant}")
-    rows = G.x_rows if marker == "X" else G.o_rows
-    if axis == "row":
-        if not 0 <= index < n:
-            raise MoveError("BadPosition", f"row {index} out of range")
-        c = rows.index(index)
-        r = index
-    elif axis == "col":
-        if not 0 <= index < n:
-            raise MoveError("BadPosition", f"column {index} out of range")
-        c = index
-        r = rows[c]
-    else:
+    rows, other = (G.x_rows, G.o_rows) if marker == "X" else (G.o_rows, G.x_rows)
+    if axis not in ("row", "col"):
         raise MoveError("Parse", f"bad axis {axis!r}")
-
-    def shift_col(col: int) -> int:
-        return col + 1 if col > c else col
-
-    def shift_row(row: int) -> int:
-        return row + 1 if row > r else row
-
-    # split markers: two of the marker's type on a diagonal of the 2x2
-    # block at columns {c, c+1} rows {r, r+1}; the opposite type takes the
-    # variant corner; same-line markers move off the block's full lines
-    corner = {
-        "NW": (c, r + 1),
-        "NE": (c + 1, r + 1),
-        "SW": (c, r),
-        "SE": (c + 1, r),
-    }[variant]
-    if variant in ("NW", "SE"):
-        main = [(c, r), (c + 1, r + 1)]  # SW + NE
-    else:
-        main = [(c + 1, r), (c, r + 1)]  # SE + NW
-    new_o: dict[int, int] = {}
-    new_x: dict[int, int] = {}
-    occupied_cols = [p[0] for p in main + [corner]]
-    occupied_rows = [p[1] for p in main + [corner]]
-    # same-column other-type marker moves right exactly when the block
-    # column c is full; same-row marker moves up when block row r is full
-    other_col = c if occupied_cols.count(c) < 2 else c + 1
-    other_row = r if occupied_rows.count(r) < 2 else r + 1
-    for col in range(n):
-        for rows_of, out in ((G.o_rows, new_o), (G.x_rows, new_x)):
-            row = rows_of[col]
-            if col == c and row == r and rows_of is rows:
-                continue  # the split marker itself
-            ncol, nrow = shift_col(col), shift_row(row)
-            if col == c:
-                ncol = other_col
-            if row == r:
-                nrow = other_row
-            out[ncol] = nrow
-    main_out = new_x if marker == "X" else new_o
-    corner_out = new_o if marker == "X" else new_x
-    for col, row in main:
-        main_out[col] = row
-    corner_out[corner[0]] = corner[1]
-    o = tuple(new_o[cc] for cc in range(n + 1))
-    x = tuple(new_x[cc] for cc in range(n + 1))
-    return GridDiagram(n + 1, o, x)
+    if not 0 <= index < n:
+        raise MoveError("BadPosition", f"{'row' if axis == 'row' else 'column'} {index} out of range")
+    c, r = (rows.index(index), index) if axis == "row" else (index, rows[index])
+    dc, dr = "WE".index(variant[1]), "SN".index(variant[0])
+    # rows above r move up; row r's opposite-type marker moves to the
+    # block's other row r + 1 - dr
+    lift = [v + (v > r) for v in range(n)]
+    lift[r] = r + 1 - dr
+    same = [lift[v] for v in rows]
+    opp = [lift[v] for v in other]
+    # the opposite type takes the corner (c + dc, r + dr), pushing column
+    # c's opposite-type marker to the block's other column c + 1 - dc;
+    # the split type fills the other diagonal
+    opp.insert(c + dc, r + dr)
+    same.insert(c + 1 - dc, r + dr)
+    same[c + dc] = r + 1 - dr
+    return GridDiagram(n + 1, *((opp, same) if marker == "X" else (same, opp)))
 
 
 def _destabilize(G: GridDiagram, position: tuple[int, int]) -> GridDiagram:
@@ -213,38 +174,18 @@ def _destabilize(G: GridDiagram, position: tuple[int, int]) -> GridDiagram:
     c, r = position
     if not (0 <= c < n - 1 and 0 <= r < n - 1):
         raise MoveError("BadPosition", f"block corner {position} out of range")
-    block = [(c, r), (c + 1, r), (c, r + 1), (c + 1, r + 1)]
-    o_in = [p for p in block if G.o_rows[p[0]] == p[1]]
-    x_in = [p for p in block if G.x_rows[p[0]] == p[1]]
-    if len(o_in) + len(x_in) != 3 or not (len(o_in) == 1 or len(x_in) == 1):
-        raise MoveError("BadPosition", f"block at {position} holds {len(o_in)} O and {len(x_in)} X markers")
-    marker = "X" if len(x_in) == 2 else "O"
-    new_o: dict[int, int] = {}
-    new_x: dict[int, int] = {}
-
-    def unshift_col(col: int) -> int:
-        return col - 1 if col > c else col
-
-    def unshift_row(row: int) -> int:
-        return row - 1 if row > r else row
-
-    for col in range(n):
-        for rows_of, out in ((G.o_rows, new_o), (G.x_rows, new_x)):
-            row = rows_of[col]
-            if (col, row) in block:
-                continue
-            ncol, nrow = unshift_col(col), unshift_row(row)
-            if ncol in out:
-                raise MoveError("BadPosition", f"block at {position} is not a stabilization block")
-            out[ncol] = nrow
-    merged = new_x if marker == "X" else new_o
-    merged[c] = r
-    if sorted(new_o) != list(range(n - 1)) or sorted(new_x) != list(range(n - 1)):
-        raise MoveError("BadPosition", f"block at {position} is not a stabilization block")
-    try:
-        return GridDiagram(n - 1, tuple(new_o[cc] for cc in range(n - 1)), tuple(new_x[cc] for cc in range(n - 1)))
-    except _grid.GridError as exc:
-        raise MoveError("BadPosition", f"destabilized grid invalid: {exc}") from None
+    # each type's markers outside the block, column c + 1 and row r + 1 closed up
+    o, x = (
+        [v - (v > r) for k, v in enumerate(rows) if not (c <= k <= c + 1 and r <= v <= r + 1)]
+        for rows in (G.o_rows, G.x_rows)
+    )
+    if len(o) + len(x) != 2 * n - 3:
+        raise MoveError("BadPosition", f"block at {position} holds {n - len(o)} O and {n - len(x)} X markers")
+    # no further check: on a valid grid the block's two same-type markers lie
+    # on a diagonal, so columns c, c + 1 and rows r, r + 1 each keep one
+    # marker outside it, and closing them up leaves a valid grid
+    (x if len(x) < len(o) else o).insert(c, r)
+    return GridDiagram(n - 1, o, x)
 
 
 def apply_move(G: GridDiagram, move: MoveSpec) -> GridDiagram:
@@ -278,7 +219,7 @@ class InvarianceReport(NamedTuple):
     component_map: tuple[int, ...] | None  # hat2 component for each hat1 component
     alexander2_shifts: tuple[int, ...] | None
     tilde_factor_ok: bool | None = None  # set when sizes differ by one
-    stabilized_component: int | None = None
+    stabilized_component: int | None = None  # numbered in the smaller grid
 
     @property
     def ok(self) -> bool:
@@ -334,20 +275,19 @@ def invariance_report(G1: GridDiagram, G2: GridDiagram) -> InvarianceReport:
     comp_map, shifts = match
     if abs(G1.n - G2.n) != 1:
         return InvarianceReport(h1, h2, True, comp_map, shifts)
-    t1 = _hom.tilde_homology(G1)
-    t2 = _hom.tilde_homology(G2)
-    return InvarianceReport(h1, h2, True, comp_map, shifts, *_check_tilde_factor(t1, t2, G1, G2, comp_map))
-
-
-def _check_tilde_factor(t1, t2, G1, G2, comp_map) -> tuple[bool, int | None]:
-    small, big = (t1, t2) if G1.n < G2.n else (t2, t1)
-    small_ni = (G1 if G1.n < G2.n else G2).components.n_i
-    big_ni = (G2 if G1.n < G2.n else G1).components.n_i
+    t1, t2 = _hom.tilde_homology(G1), _hom.tilde_homology(G2)
+    # mapping[j]: the larger grid's number for the smaller grid's component j
     if G1.n < G2.n:
-        mapping = list(comp_map)  # small component j -> big component mapping[j]
+        small, big, mapping = t1, t2, comp_map
     else:
-        mapping = [comp_map.index(j) for j in range(len(comp_map))]
-    candidates = [j for j in range(len(small_ni)) if big_ni[mapping[j]] == small_ni[j] + 1]
+        small, big, mapping = t2, t1, tuple(comp_map.index(j) for j in range(len(comp_map)))
+    return InvarianceReport(h1, h2, True, comp_map, shifts, *_check_tilde_factor(small, big, mapping))
+
+
+def _check_tilde_factor(small: HomologySummary, big: HomologySummary, mapping: Sequence[int]) -> tuple[bool, int | None]:
+    """Whether peeling one factor V off some component's tilde table in
+    ``big`` leaves ``small``'s, and that component's number (from 1) in ``small``."""
+    candidates = [j for j in range(small.l) if big.n_i[mapping[j]] == small.n_i[j] + 1]
     small_p = _permute_t(small.poincare, mapping)
     for j in candidates:
         try:

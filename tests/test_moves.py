@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracle_moves
 import random_moves
 from oracle_chain import cyclic_component_map, phi_cyclic_horizontal, phi_cyclic_vertical
 from gridspin import grid, moves, spin
@@ -79,17 +80,63 @@ def test_stabilize_by_column():
     assert H.n == 6 and H.components.n_i == (6,)
 
 
+def _outcome(move, *args):
+    try:
+        return move(*args)
+    except MoveError as exc:
+        return exc.code, str(exc)
+
+
+def test_moves_match_the_oracle():
+    # every input, bad ones included, on every grid with n <= 4 and on
+    # seeded larger grids: the same grid or the same error code and message
+    rng = random.Random(2701)
+    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    grids += [grid.random_grid(n, rng) for n in (5, 6, 7) for _ in range(4)]
+    for G in grids:
+        n = G.n
+        for axis in ("row", "col", "diag"):
+            for index in range(-1, n + 1):
+                for marker in ("X", "O", "Q"):
+                    for variant in moves.VARIANTS + ("QQ",):
+                        args = (G, axis, index, marker, variant)
+                        assert _outcome(moves._stabilize, *args) == _outcome(oracle_moves._stabilize, *args), args
+        for c in range(-1, n + 1):
+            for r in range(-1, n + 1):
+                args = (G, (c, r))
+                assert _outcome(moves._destabilize, *args) == _outcome(oracle_moves._destabilize, *args), args
+        for direction in ("up", "down", "left", "right", "sideways"):
+            args = (G, direction)
+            assert _outcome(moves._cyclic, *args) == _outcome(oracle_moves._cyclic, *args), args
+
+
+CORNERS = {"NW": (0, 1), "NE": (1, 1), "SW": (0, 0), "SE": (1, 0)}
+
+
 def test_destabilize_inverts_stabilize():
     rng = random.Random(8)
+    cases = []
     for _ in range(80):
         n = rng.randint(2, 5)
         G = grid.random_grid(n, rng)
-        marker = rng.choice("XO")
-        variant = rng.choice(moves.VARIANTS)
-        r = rng.randrange(n)
-        H = apply_move(G, MoveSpec("stabilize", axis="row", index=r, marker=marker, variant=variant))
+        cases.append((G, "row", rng.randrange(n), rng.choice("XO"), rng.choice(moves.VARIANTS)))
+    for n in (2, 3, 4):
+        for G in grid.all_grids(n):
+            for axis in ("row", "col"):
+                for index in range(n):
+                    for marker in "XO":
+                        cases += [(G, axis, index, marker, variant) for variant in moves.VARIANTS]
+    for G, axis, index, marker, variant in cases:
+        H = apply_move(G, MoveSpec("stabilize", axis=axis, index=index, marker=marker, variant=variant))
         rows = G.x_rows if marker == "X" else G.o_rows
-        c = rows.index(r)
+        c, r = (rows.index(index), index) if axis == "row" else (index, rows[index])
+        # the 2x2 block at (c, r): two split-type markers, and the opposite
+        # type alone at the variant's corner
+        split, opposite = (H.x_rows, H.o_rows) if marker == "X" else (H.o_rows, H.x_rows)
+        block = [(c + i, r + j) for i in (0, 1) for j in (0, 1)]
+        dc, dr = CORNERS[variant]
+        assert [p for p in block if opposite[p[0]] == p[1]] == [(c + dc, r + dr)]
+        assert sum(split[p[0]] == p[1] for p in block) == 2
         assert apply_move(H, MoveSpec("destabilize", position=(c, r))) == G
 
 
@@ -187,3 +234,16 @@ def test_six_random_legal_moves_preserve_hat():
             H = apply_move(H, random_moves.random_move(H, rng, max_n=7))
         rep = invariance_report(G, H)
         assert rep.hat_equal, (G, H)
+
+
+@pytest.mark.parametrize("o_rows, x_rows, direction", THREE_COMPONENT_CYCLES)
+def test_tilde_factor_names_the_component_under_renumbering(o_rows, x_rows, direction):
+    # the cyclic move renumbers the components, so the factor check must
+    # carry the smaller grid's numbering across in both argument orders
+    G = GridDiagram(6, o_rows, x_rows)
+    for r in range(G.n):
+        H = apply_move(G, MoveSpec("stabilize", axis="row", index=r, marker="X", variant="NE"))
+        H = apply_move(H, MoveSpec("cyclic", direction=direction))
+        split = G.components.comp_of_x[G.x_rows.index(r)]
+        for rep in (invariance_report(G, H), invariance_report(H, G)):
+            assert rep.tilde_factor_ok and rep.stabilized_component == split
