@@ -11,13 +11,14 @@ the test suite checks against the generic group law.
 
 The whole-complex checks (d^2 = 0, the sign axioms and the mod-2
 consistency check) read ``rectangle_table(G)``, which scans every empty
-rectangle of each generator, markers and all, and peels it once; the
-record layout is built and read only in this module.  d^2 and the sign
-axioms share one walk over the composable pairs that reads each record's
-bit as its sign and keys each domain by its end and 2-chain, from one
-start per orbit of the torus translations.  Reference
-formulas with other cocycle argument orders, the gauge search between
-assignments and the chain maps on double-cover elements are test oracles.
+rectangle, markers and all, once per orbit of the row translation and
+peels each generator once; the record layout is built and read only in
+this module.  d^2 and the sign axioms share one walk over the composable
+pairs that reads each record's bit as its sign and keys each domain by
+its end and 2-chain, from one start per orbit of the torus translations.
+Reference formulas with other cocycle argument orders, the gauge search
+between assignments and the chain maps on double-cover elements are test
+oracles.
 """
 from __future__ import annotations
 
@@ -47,26 +48,41 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     (a, b) is empty exactly when its height h = (x[b] - x[a]) mod n is
     below ``lowest``.  Label, okey and cells come from ``_shapes``, built
     once per call, so every record of one shape shares their objects.
+
+    The row translation x -> x + 1 mod n keeps every height, hence the
+    empty rectangles and their order: only x with x[0] = 0 is scanned, and
+    its translates reuse its (a, b, h) list, targets carried by the row
+    map, each with its own peel, bits and shapes (bottom row x[a]).
     """
     n = G.n
     gens = list(itertools.permutations(range(n)))
     index = {x: i for i, x in enumerate(gens)}
+    # tuple() of a list, not a generator: no resized tuple is left in CPython's free list
+    row = [index[tuple([(v + 1) % n for v in x])] for x in gens]
     shapes = _shapes(G)
-    rects = []
-    for x in gens:
-        peeled = _peel(x)
-        records = []
+    rects = [None] * len(gens)
+    for i in range(len(gens) // n):  # x[0] = 0: one generator per row orbit
+        x = gens[i]
+        scan, targets = [], []
         for a, xa in enumerate(x):
             lowest = n
-            for b, per_height in shapes[a][xa]:
+            for j, (b, _) in enumerate(shapes[a][xa]):
                 h = (x[b] - xa) % n
                 if h < lowest:
                     lowest = h
                     y = list(x)
                     y[a], y[b] = x[b], xa
-                    label, okey, cells = per_height[h]
-                    records.append((label, index[tuple(y)], _right_mul(peeled, a, b), okey, cells))
-        rects.append(records)
+                    scan.append((a, b, j, h))
+                    targets.append(index[tuple(y)])
+        for _ in range(n):
+            x = gens[i]
+            peeled = _peel(x)
+            records = []
+            for (a, b, j, h), y in zip(scan, targets):
+                label, okey, cells = shapes[a][x[a]][j][1][h]
+                records.append((label, y, _right_mul(peeled, a, b), okey, cells))
+            rects[i] = records
+            i, targets = row[i], [row[y] for y in targets]
     return gens, rects
 
 
@@ -74,40 +90,48 @@ def _shapes(G: GridDiagram) -> list:
     """shapes[a][v]: the pairs (b, per_height) for b = a + 1, a + 2, ...
     (mod n), where per_height[h] is (label, okey, cells) of the rectangle
     with label (a, b), bottom row v and height h.  One label object
-    serves every shape with that label."""
+    serves every shape with that label.
+
+    rows[h] holds the rows v, ..., v + h - 1 mod n two bits each (reduced
+    mod 4^n - 1, which wraps past row n - 1), below[h] the O columns on
+    them; a span's cells are rows[h] times its column mask cmask (blocks
+    2n bits apart, so no copies meet) and its okey below[h] & omask."""
     n = G.n
+    o_col = sorted(range(n), key=G.o_rows.__getitem__)
+    per_row = []
+    for v in range(n):
+        rows, below = [], [0]
+        for h in range(n):
+            rows.append(((4**h - 1) // 3 << 2 * v) % (4**n - 1))
+            below.append(below[-1] | 1 << 2 * o_col[(v + h) % n])
+        per_row.append((rows, below))
     shapes = []
     for a in range(n):
-        labels = [(a, (a + width) % n) for width in range(1, n)]
-        per_row = []
-        for v in range(n):
-            pairs = []
-            for width, label in enumerate(labels, 1):
-                span = [(a + k) % n for k in range(width)]
-                per_height = []
-                for h in range(n):
-                    # the rows v, ..., v + h - 1 mod n, two bits each (h < n, so reducing
-                    # mod 4^n - 1 moves the bits past row n - 1 back to the bottom)
-                    rows = ((4**h - 1) // 3 << 2 * v) % (4**n - 1)
-                    okey = sum(((G.o_rows[c] - v) % n < h) << 2 * c for c in span)
-                    cells = sum(rows << 2 * c * n for c in span)
-                    per_height.append((label, okey, cells))
-                pairs.append((label[1], per_height))
-            per_row.append(pairs)
-        shapes.append(per_row)
+        spans, omask, cmask = [], 0, 0
+        for width in range(1, n):
+            c = (a + width - 1) % n
+            omask, cmask = omask | 1 << 2 * c, cmask | 1 << 2 * c * n
+            spans.append(((a, (c + 1) % n), omask, cmask))
+        shapes.append([
+            [(label[1], [(label, below[h] & o, rows[h] * m) for h in range(n)]) for label, o, m in spans]
+            for rows, below in per_row
+        ])
     return shapes
 
 
 def mod2_mismatch(table: tuple[list, list]) -> tuple | None:
     """The first generator whose signed and unsigned sums per (target,
     okey), keyed y << 2n | okey (okey < 4^n), differ mod 2, or None.  A
-    consistency check: k terms +-1 sum to k mod 2, so it cannot fail."""
+    consistency check: k terms +-1 sum to k mod 2, so it cannot fail.  A
+    lone term differs by 0 or 2, so only generators with a repeat are summed."""
     gens, rects = table
-    n = len(gens[0])
+    shift = 2 * len(gens[0])
     for x, records in zip(gens, rects):
+        keys = [y << shift | okey for _, y, _, okey, _ in records]
+        if len(set(keys)) == len(keys):
+            continue
         signed, unsigned = {}, {}
-        for _, y, bit, okey, _ in records:
-            k = y << 2 * n | okey
+        for k, (_, _, bit, _, _) in zip(keys, records):
             signed[k] = signed.get(k, 0) + (-1 if bit else 1)
             unsigned[k] = unsigned.get(k, 0) + 1
         if any((signed[k] - unsigned[k]) % 2 for k in unsigned):
@@ -227,7 +251,7 @@ def _translation_gauges(gens: list, rects: list) -> tuple | None:
     """
     n = len(gens[0])
     index = {x: i for i, x in enumerate(gens)}
-    row = [index[tuple((v + 1) % n for v in x)] for x in gens]
+    row = [index[tuple([(v + 1) % n for v in x])] for x in gens]  # a list: see rectangle_table
     col = [index[x[1:] + x[:1]] for x in gens]
     shifted = {(a, b): ((a - 1) % n, (b - 1) % n) for a in range(n) for b in range(n) if a != b}
     unset = b"\0" + b"\2" * (len(gens) - 1)  # 2 until the pass spreads a bit there
@@ -236,7 +260,7 @@ def _translation_gauges(gens: list, rects: list) -> tuple | None:
         gr, gc, up, left = g_row[i], g_col[i], rects[row[i]], rects[col[i]]
         if gr > 1 or not len(rs) == len(up) == len(left):
             return None
-        m = sum(l[0] != 0 for l, *_ in rs)
+        m = sum(r[0][0] != 0 for r in rs)
         for (l, y, b, _, _), (ul, uy, ub, _, _), (ll, ly, lb, _, _) in zip(rs, up, left[m:] + left[:m]):
             if ul != l or ll != shifted[l] or uy != row[y] or ly != col[y]:
                 return None

@@ -145,7 +145,7 @@ def _commute_rows(G: GridDiagram, j: int) -> GridDiagram:
 
 def _stabilize(G: GridDiagram, axis: str, index: int, marker: str, variant: str) -> GridDiagram:
     n = G.n
-    if variant not in VARIANTS or marker not in "XO":
+    if variant not in VARIANTS or marker not in ("X", "O"):
         raise MoveError("Parse", f"bad stabilization {marker}{variant}")
     rows, other = (G.x_rows, G.o_rows) if marker == "X" else (G.o_rows, G.x_rows)
     if axis not in ("row", "col"):

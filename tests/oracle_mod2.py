@@ -127,3 +127,21 @@ def bigraded_ranks(n, o_rows, x_rows) -> dict[tuple[int, tuple[int, ...]], int]:
 
 def total_rank(n, o_rows, x_rows) -> int:
     return sum(bigraded_ranks(n, o_rows, x_rows).values())
+
+
+def table_mismatch(table) -> tuple | None:
+    """The first generator of a rectangle table (generators, per generator
+    records (label, target, bit, okey, cells)) whose signed sum (-1 for a
+    true bit, +1 otherwise) and plain count per key target << 2n | okey
+    differ mod 2, or None: one dict sum over every record."""
+    gens, rects = table
+    n = len(gens[0])
+    for x, records in zip(gens, rects):
+        sums: dict[int, list[int]] = {}
+        for _, y, bit, okey, _ in records:
+            signed_count = sums.setdefault(y << 2 * n | okey, [0, 0])
+            signed_count[0] += -1 if bit else 1
+            signed_count[1] += 1
+        if any((signed - count) % 2 for signed, count in sums.values()):
+            return x
+    return None

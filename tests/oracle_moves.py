@@ -28,7 +28,7 @@ def _cyclic(G: GridDiagram, direction: str) -> GridDiagram:
 
 def _stabilize(G: GridDiagram, axis: str, index: int, marker: str, variant: str) -> GridDiagram:
     n = G.n
-    if variant not in VARIANTS or marker not in "XO":
+    if variant not in VARIANTS or marker not in ("X", "O"):
         raise MoveError("Parse", f"bad stabilization {marker}{variant}")
     rows = G.x_rows if marker == "X" else G.o_rows
     if axis == "row":

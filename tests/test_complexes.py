@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import oracle_mod2
 import oracle_pairs
 import oracle_rectangles as rects
 import oracle_spin
@@ -18,7 +19,7 @@ from oracle_signs import (
     swapped_sign,
 )
 from gridspin import grid, spin
-from gridspin.complexes import _orbits, _translation_gauges, _walk, check_sign_axioms, rectangle_table
+from gridspin.complexes import _orbits, _shapes, _translation_gauges, _walk, check_sign_axioms, mod2_mismatch, rectangle_table
 from gridspin.grid import GridDiagram
 
 
@@ -79,17 +80,60 @@ def test_unknot_graded_differential_vanishes():
 
 def test_rectangle_table_matches_the_scan():
     # each generator's records, unpacked, against the per-label oracle and
-    # the peeling loop's group-law bit
-    G = grid.hopf4()
-    gens, per_generator = rectangle_table(G)
-    assert gens == list(itertools.permutations(range(4)))
-    for x, records in zip(gens, per_generator):
-        unpacked = [
-            (label, gens[y], bit, tuple((okey >> 2 * c) & 3 for c in range(4)), cells)
-            for label, y, bit, okey, cells in records
-        ]
-        want = [(label, y, oracle_spin.right_mul(x, *label), o, cells) for label, y, o, cells in rects.per_label_scan(G, x)]
-        assert sorted(unpacked) == want
+    # the peeling loop's group-law bit, in the order of a plain scan of x,
+    # on every grid with n <= 4 and seeded n = 5, 6, 7 grids
+    rng = random.Random(2801)
+    for G in [G for n in (2, 3, 4) for G in grid.all_grids(n)] + [grid.random_grid(n, rng) for n in (5, 6, 7)]:
+        n = G.n
+        gens, per_generator = rectangle_table(G)
+        assert gens == list(itertools.permutations(range(n)))
+        for x, records in zip(gens, per_generator):
+            unpacked = [
+                (label, gens[y], bit, tuple((okey >> 2 * c) & 3 for c in range(n)), cells)
+                for label, y, bit, okey, cells in records
+            ]
+            want = [(label, y, oracle_spin.right_mul(x, *label), o, cells) for label, y, o, cells in rects.per_label_scan(G, x)]
+            assert sorted(unpacked) == want, (G, x)
+            assert [label for label, *_ in records] == _scan_order(x), (G, x)
+
+
+def _scan_order(x):
+    # the labels of the empty rectangles out of x in the cyclic scan's
+    # order: left column a ascending, then b = a + 1, a + 2, ... mod n
+    n = len(x)
+    order = []
+    for a in range(n):
+        for width in range(1, n):
+            b = (a + width) % n
+            inside = [(x[(a + k) % n] - x[a]) % n for k in range(1, width)]
+            if all(h > (x[b] - x[a]) % n for h in inside):
+                order.append((a, b))
+    return order
+
+
+def test_shapes_match_the_rectangle_oracle():
+    # every shape (a, bottom row v, b, height h), reached by a scan or not,
+    # against the oracle's cells and O-counts of the same rectangle, on
+    # every grid with n <= 3 and seeded n = 4..8 grids
+    rng = random.Random(2802)
+    for G in [G for n in (2, 3) for G in grid.all_grids(n)] + [grid.random_grid(n, rng) for n in range(4, 9) for _ in range(2)]:
+        n = G.n
+        shapes = _shapes(G)
+        assert len(shapes) == n and all(len(per_row) == n for per_row in shapes)
+        for a, per_row in enumerate(shapes):
+            for v, pairs in enumerate(per_row):
+                assert [b for b, _ in pairs] == [(a + w) % n for w in range(1, n)]
+                for b, per_height in pairs:
+                    assert len(per_height) == n
+                    for h, (label, okey, cells) in enumerate(per_height):
+                        assert label == (a, b) and label is shapes[a][0][(b - a) % n - 1][1][0][0]
+                        rect = rects.RectangleInstance(
+                            base=(), label=(a, b), col_span=rects.cyclic_span(a, b, n), row_span=rects.cyclic_span(v, v + h, n)
+                        )
+                        assert cells == rects.cell_bitmask(G, rect), (G, a, v, b, h)
+                        o_counts, _ = rects.marker_counts(G, rect)
+                        want = sum(k << 2 * c for c, k in zip(G.components.o_numbering, o_counts))
+                        assert okey == want, (G, a, v, b, h)
 
 
 def test_records_of_one_shape_share_their_objects():
@@ -103,6 +147,57 @@ def test_records_of_one_shape_share_their_objects():
     assert len(records) > n**3 * (n - 1)
     assert len({id(cells) for *_, cells in records}) <= n**3 * (n - 1)
     assert len({id(label) for label, *_ in records}) <= n * (n - 1)
+
+
+def _crafted_tables():
+    # tables with random targets and okeys, bits other than 0 and 1,
+    # duplicated records and repeated (target, okey) keys with other bits
+    rng = random.Random(2803)
+    bits = (0, 1, 2, -1, 3, True, False)
+    for n in (2, 3, 4):
+        gens = list(itertools.permutations(range(n)))
+        for _ in range(10):
+            table = []
+            for _ in gens:
+                records = [((0, 1), rng.randrange(len(gens)), rng.choice(bits), rng.randrange(4**n), 0) for _ in range(rng.randrange(5))]
+                if records and rng.random() < 0.3:
+                    records.append(rng.choice(records))
+                if records and rng.random() < 0.3:
+                    label, y, _, okey, cells = rng.choice(records)
+                    records.insert(rng.randrange(len(records) + 1), (label, y, rng.choice(bits), okey, cells))
+                table.append(records)
+            yield gens, table
+
+
+def test_mod2_mismatch_matches_the_dict_sum_oracle():
+    unique = repeated = 0
+    for n in (2, 3, 4):
+        real = rectangle_table(grid.random_grid(n, random.Random(n)))
+        assert mod2_mismatch(real) is None is oracle_mod2.table_mismatch(real)
+    for gens, table in _crafted_tables():
+        n = len(gens[0])
+        for records in table:
+            keys = [y << 2 * n | okey for _, y, _, okey, _ in records]
+            unique += len(set(keys)) == len(keys)
+            repeated += len(set(keys)) < len(keys)
+        assert mod2_mismatch((gens, table)) == oracle_mod2.table_mismatch((gens, table))
+    # both branches ran: generators whose keys are all distinct and ones with a repeat
+    assert unique and repeated
+
+
+@pytest.mark.parametrize("field", [1, 3])
+def test_mod2_mismatch_reads_every_record(field):
+    # a malformed target or okey in the table's last record fails both the
+    # check and the oracle
+    G = grid.random_grid(4, random.Random(2804))
+    gens, table = rectangle_table(G)
+    table = [list(records) for records in table]
+    last = list(table[-1][-1])
+    last[field] = "?"
+    table[-1][-1] = tuple(last)
+    for check in (mod2_mismatch, oracle_mod2.table_mismatch):
+        with pytest.raises(TypeError):
+            check((gens, table))
 
 
 def test_d_squared_zero_all_n3():

@@ -97,7 +97,7 @@ def test_moves_match_the_oracle():
         n = G.n
         for axis in ("row", "col", "diag"):
             for index in range(-1, n + 1):
-                for marker in ("X", "O", "Q"):
+                for marker in ("X", "O", "Q", "", "XO"):
                     for variant in moves.VARIANTS + ("QQ",):
                         args = (G, axis, index, marker, variant)
                         assert _outcome(moves._stabilize, *args) == _outcome(oracle_moves._stabilize, *args), args
@@ -108,6 +108,13 @@ def test_moves_match_the_oracle():
         for direction in ("up", "down", "left", "right", "sideways"):
             args = (G, direction)
             assert _outcome(moves._cyclic, *args) == _outcome(oracle_moves._cyclic, *args), args
+
+
+@pytest.mark.parametrize("marker", ["", "XO"])
+def test_stabilize_refuses_marker_strings_other_than_one_letter(marker):
+    with pytest.raises(MoveError, match=f"^bad stabilization {marker}NE$") as exc:
+        moves._stabilize(grid.unknot2(), "row", 0, marker, "NE")
+    assert exc.value.code == "Parse"
 
 
 CORNERS = {"NW": (0, 1), "NE": (1, 1), "SW": (0, 0), "SE": (1, 0)}
