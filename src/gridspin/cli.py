@@ -11,7 +11,6 @@ import itertools
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import complexes as _cx
@@ -52,7 +51,7 @@ def _print_summary(summary: _hom.HomologySummary, as_json: bool) -> None:
     print(f"components: {summary.l}  rows per component: {list(summary.n_i)}")
     print(f"total free rank: {summary.total_rank}")
     for bg, rank, torsion in summary.pieces:
-        alex = ", ".join(str(Fraction(a, 2)) for a in bg.alexander2)
+        alex = ", ".join(map(_hom.half_str, bg.alexander2))
         tor = f" torsion {list(torsion)}" if torsion else ""
         print(f"  M={bg.maslov:>3}  A=({alex})  rank {rank}{tor}")
     print(f"poincare: {_hom.render_polynomial(summary.poincare)}")
@@ -86,9 +85,9 @@ def _cmd_info(args) -> int:
     print(f"rows_per_component {' '.join(map(str, comps.n_i))}")
     print(_grid.ascii_art(G) if G.n <= MAX_DRAWN_N else f"drawing omitted (n > {MAX_DRAWN_N})")
     if args.generator is not None:
-        alex = ", ".join(str(Fraction(a, 2)) for a in _grid.alexander2(G, x))
-        print(f"maslov {_grid.maslov(G, x)}")
-        print(f"alexander ({alex})")
+        maslov, alexander2 = _grid._gradings(G, x)
+        print(f"maslov {maslov}")
+        print(f"alexander ({', '.join(map(_hom.half_str, alexander2))})")
     return OK
 
 
@@ -209,7 +208,7 @@ def _cmd_invariance(args) -> int:
         print(f"hat polynomials equal: {report.hat_equal}")
         if report.component_map is not None:
             print(f"component matching: {list(report.component_map)}")
-            shifts = [str(Fraction(s, 2)) for s in report.alexander2_shifts]
+            shifts = list(map(_hom.half_str, report.alexander2_shifts))
             print(f"alexander shifts: {shifts}")
         if report.tilde_factor_ok is not None:
             print(f"stabilization tilde factor: {report.tilde_factor_ok}")

@@ -18,8 +18,6 @@ in ``complexes.rectangle_table``.
 """
 from __future__ import annotations
 
-import itertools
-import random
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -382,7 +380,7 @@ def empty_rectangles(G: GridDiagram, x: Sequence[int]) -> list[tuple[Label, tupl
 
 
 # ---------------------------------------------------------------------------
-# Text format and enumeration
+# Text format
 
 
 def parse_grid_text(text: str) -> GridDiagram:
@@ -431,51 +429,3 @@ def ascii_art(G: GridDiagram) -> str:
             cells.append("O" if G.o_rows[c] == r else "X" if G.x_rows[c] == r else ".")
         rows.append(" ".join(cells))
     return "\n".join(rows)
-
-
-def all_grids(n: int) -> Iterator[GridDiagram]:
-    """Every valid grid of size n (both marker permutations, no shared cell)."""
-    for o in itertools.permutations(range(n)):
-        for x in itertools.permutations(range(n)):
-            if all(o[c] != x[c] for c in range(n)):
-                yield GridDiagram(n, o, x)
-
-
-def random_grid(n: int, rng: random.Random) -> GridDiagram:
-    o = list(range(n))
-    rng.shuffle(o)
-    while True:
-        x = list(range(n))
-        rng.shuffle(x)
-        if all(o[c] != x[c] for c in range(n)):
-            return GridDiagram(n, tuple(o), tuple(x))
-
-
-# Named examples used throughout the tests and docs.
-UNKNOT_2 = (2, (1, 0), (0, 1))
-TREFOIL_5 = (5, (2, 3, 4, 0, 1), (0, 1, 2, 3, 4))
-HOPF_4 = (4, (2, 3, 0, 1), (0, 1, 2, 3))
-
-
-def torus_grid(p: int, q: int) -> GridDiagram:
-    """The torus link T(p, q) on a grid of size p + q: X on the diagonal and
-    the O of column c in row (c + p) mod (p + q).  Under this package's
-    conventions the diagram presents the mirror of the positive torus
-    link (its hat homology is the negative torus knot's when p and q are
-    coprime); ``trefoil5()`` is ``torus_grid(2, 3)``."""
-    if p < 1 or q < 1:
-        raise ValueError(f"torus_grid needs p, q >= 1, got ({p}, {q})")
-    n = p + q
-    return GridDiagram(n, tuple((c + p) % n for c in range(n)), tuple(range(n)))
-
-
-def unknot2() -> GridDiagram:
-    return GridDiagram(*UNKNOT_2)
-
-
-def trefoil5() -> GridDiagram:
-    return GridDiagram(*TREFOIL_5)
-
-
-def hopf4() -> GridDiagram:
-    return GridDiagram(*HOPF_4)

@@ -100,10 +100,14 @@ class Laurent(NamedTuple):
         return render_polynomial(self)
 
 
+def half_str(a2: int) -> str:
+    """a2 / 2 as an integer or a reduced fraction: 3 -> '3/2', -4 -> '-2'."""
+    return str(a2 // 2) if a2 % 2 == 0 else f"{a2}/2"
+
+
 def _exp_str(e2: int) -> str:
-    if e2 % 2 == 0:
-        return str(e2 // 2)
-    return f"({e2}/2)"
+    s = half_str(e2)
+    return f"({s})" if e2 % 2 else s
 
 
 def render_polynomial(p: Laurent) -> str:
@@ -352,16 +356,6 @@ class HomologySummary(NamedTuple):
     def total_rank(self) -> int:
         return sum(rank for _, rank, _ in self.pieces)
 
-    @property
-    def has_torsion(self) -> bool:
-        return any(tor for _, _, tor in self.pieces)
-
-    def piece(self, maslov: int, alexander2: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        for bg, rank, tor in self.pieces:
-            if bg == Bigrading(maslov, tuple(alexander2)):
-                return rank, tor
-        return 0, ()
-
     def to_json_dict(self) -> dict:
         return {
             "flavor": self.flavor,
@@ -508,23 +502,14 @@ def hat_homology(G: GridDiagram) -> HomologySummary:
 
 
 def alexander_polynomial(G: GridDiagram) -> Laurent:
-    """Euler characteristic of the hat homology, symmetrised under t -> 1/t
-    and, for knots, signed so the value at t = 1 is one."""
-    hat = hat_homology(G)
-    e = hat.euler
+    """Euler characteristic of the hat homology, signed so that, for knots,
+    the value at t = 1 is one.  The hat mirror maps 2A to -2A, so the
+    polynomial is already centred; its symmetry under t -> 1/t is asserted."""
+    e = hat_homology(G).euler
     if e.is_zero():
         return e
-    l = hat.l
-    shift = []
-    for i in range(l):
-        exps = [t2[i] for (_, t2), _ in e.terms]
-        lo, hi = min(exps), max(exps)
-        if (lo + hi) % 2:
-            raise AssertionError("cannot centre the Euler polynomial")
-        shift.append(-(lo + hi) // 2)
-    e = e.shifted(0, shift)
     if e.t_reversed() != e:
-        raise AssertionError("centred Euler polynomial is not symmetric")
+        raise AssertionError("Euler polynomial is not symmetric")
     total = sum(c for _, c in e.terms)
     if total < 0 or (total == 0 and max(e.terms)[1] < 0):
         e = -e

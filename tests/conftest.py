@@ -7,20 +7,20 @@ import pytest
 from oracle_rectangles import full_scan
 from oracle_signs import sign_assignment
 from oracle_spin import right_mul
-from gridspin import grid as _grid
+from sample_grids import all_grids, random_grid
 
 
 def corpus_grids():
     """The differential-check corpus: every valid grid with n = 3 and
     n = 4, then 200 random grids at n = 5 and 50 at n = 6 (seeded)."""
-    yield from _grid.all_grids(3)
-    yield from _grid.all_grids(4)
+    yield from all_grids(3)
+    yield from all_grids(4)
     rng = random.Random(1205)
     for _ in range(200):
-        yield _grid.random_grid(5, rng)
+        yield random_grid(5, rng)
     rng = random.Random(1206)
     for _ in range(50):
-        yield _grid.random_grid(6, rng)
+        yield random_grid(6, rng)
 
 
 @dataclass

@@ -23,6 +23,18 @@ from gridspin.homology import (
 )
 
 
+def piece(H: HomologySummary, maslov: int, alexander2: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion) of H at one bigrading; (0, ()) off its support."""
+    for bg, rank, tor in H.pieces:
+        if bg == Bigrading(maslov, tuple(alexander2)):
+            return rank, tor
+    return 0, ()
+
+
+def has_torsion(H: HomologySummary) -> bool:
+    return any(tor for _, _, tor in H.pieces)
+
+
 def below_every_generator(G: GridDiagram) -> tuple[int, ...]:
     """A doubled Alexander grading lexicographically below that of every
     generator: each lies below 5 n^2 in absolute value."""
@@ -43,7 +55,7 @@ def hat_reduction(H: HomologySummary) -> HomologySummary:
     NotDivisible."""
     if H.flavor != "tilde":
         raise ValueError("hat reduction applies to tilde summaries")
-    if H.has_torsion:
+    if has_torsion(H):
         raise NotDivisible("tilde homology has torsion; hat ranks are undefined here")
     l = H.l
     ranks = dict(H.poincare.terms)

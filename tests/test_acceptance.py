@@ -14,9 +14,10 @@ import oracle_clifford
 import oracle_mod2
 import oracle_rectangles
 import random_moves
-from oracle_hat import full_tilde, hat_reduction
+from oracle_hat import full_tilde, has_torsion, hat_reduction, piece
 from oracle_signs import check_coboundary_equivalence, reversed_sign, sign_assignment, signed_table, swapped_sign
 
+from sample_grids import all_grids, random_grid, trefoil5, unknot2
 from gridspin import complexes, grid, homology, moves, spin
 
 
@@ -118,14 +119,14 @@ def test_criterion_02_d_squared_zero(corpus_verdicts):
 def test_criterion_03_sign_axioms():
     t0 = time.time()
     squares = annuli = 0
-    for G in grid.all_grids(4):
+    for G in all_grids(4):
         report = complexes.check_sign_axioms(complexes.rectangle_table(G))
         assert report.ok, (G, report.violations[:3])
         squares += report.square_pairs
         annuli += report.vertical_annuli + report.horizontal_annuli
     rng = random.Random(103)
     for _ in range(50):
-        G = grid.random_grid(5, rng)
+        G = random_grid(5, rng)
         report = complexes.check_sign_axioms(complexes.rectangle_table(G))
         assert report.ok, (G, report.violations[:3])
         squares += report.square_pairs
@@ -149,7 +150,7 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
     # and is gauge-equivalent; the bare argument swap fails the axioms
     differs = swapped_fails = False
     rng = random.Random(105)
-    sample = list(grid.all_grids(3)) + [grid.random_grid(4, rng) for _ in range(30)]
+    sample = list(all_grids(3)) + [random_grid(4, rng) for _ in range(30)]
     for G in sample:
         table = complexes.rectangle_table(G)
         report = complexes.check_sign_axioms(signed_table(table, reversed_sign))
@@ -174,13 +175,13 @@ def test_criterion_05_sign_formula_variants(corpus_verdicts):
 
 def test_criterion_06_unknot_exact():
     t0 = time.time()
-    G = grid.unknot2()
+    G = unknot2()
     H = homology.tilde_homology(G)
-    assert H.total_rank == 2 and not H.has_torsion
-    assert H.piece(0, (0,)) == (1, ())
-    assert H.piece(-1, (-2,)) == (1, ())
+    assert H.total_rank == 2 and not has_torsion(H)
+    assert piece(H, 0, (0,)) == (1, ())
+    assert piece(H, -1, (-2,)) == (1, ())
     hat = hat_reduction(full_tilde(G))
-    assert hat.total_rank == 1 and hat.piece(0, (0,)) == (1, ())
+    assert hat.total_rank == 1 and piece(hat, 0, (0,)) == (1, ())
     assert homology.render_polynomial(homology.alexander_polynomial(G)) == "1"
     elapsed = time.time() - t0
     assert elapsed < 1
@@ -189,9 +190,9 @@ def test_criterion_06_unknot_exact():
 
 def test_criterion_07_trefoil():
     t0 = time.time()
-    T = grid.trefoil5()
+    T = trefoil5()
     H = homology.tilde_homology(T)
-    assert not H.has_torsion
+    assert not has_torsion(H)
     # cross-check against the independent unsigned mod-2 oracle on all 120
     # generators; torsion-freeness makes the integer rank equal the mod-2
     # dimension, which is 48 = 3 * 2^(n-1) for this five-column grid
@@ -216,7 +217,7 @@ def test_criterion_08_invariance():
     produced = 0
     while produced < 20:
         n = rng.randint(3, 5)
-        G = grid.random_grid(n, rng)
+        G = random_grid(n, rng)
         legal = random_moves.legal_commutations(G)
         if not legal:
             continue  # the criterion wants one commutation per grid
@@ -242,7 +243,7 @@ def test_criterion_09_explicit_chain_isomorphisms():
     t0 = time.time()
     grids = 0
     for n in (2, 3, 4):
-        for G in grid.all_grids(n):
+        for G in all_grids(n):
             grids += 1
             up = moves.apply_move(G, moves.MoveSpec("cyclic", direction="up"))
             right = moves.apply_move(G, moves.MoveSpec("cyclic", direction="right"))
@@ -273,7 +274,7 @@ def test_criterion_10_grading_identities():
     t0 = time.time()
     rects = 0
     for n in (2, 3, 4):
-        for G in grid.all_grids(n):
+        for G in all_grids(n):
             comps = G.components
             for x in itertools.permutations(range(n)):
                 M = grid.maslov(G, x)

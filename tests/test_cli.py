@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sample_grids import torus_grid, trefoil5, unknot2
 from gridspin import cli, grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,7 +30,7 @@ def run(capsys, *argv):
 
 
 def test_validate_ok(grid_file, capsys):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, _ = run(capsys, "validate", path)
     assert code == 0 and out.strip() == "ok"
 
@@ -56,7 +57,7 @@ def test_missing_file(tmp_path, capsys):
 
 
 def test_info_with_generator(grid_file, capsys):
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     code, out, _ = run(capsys, "info", path, "--generator", "0 1 2 3 4")
     assert code == 0
     assert "n 5" in out and "components 1" in out
@@ -79,7 +80,7 @@ def test_info_output_linear_past_the_drawing_bound(grid_file, capsys):
 
 
 def test_info_bad_generator(grid_file, capsys):
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     # a malformed generator exits before the grid facts reach stdout
     for generator in ("0 0 1 2 3", "a"):
         code, out, err = run(capsys, "info", path, "--generator", generator)
@@ -87,14 +88,14 @@ def test_info_bad_generator(grid_file, capsys):
 
 
 def test_check_passes(grid_file, capsys):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, _ = run(capsys, "check", path, "--d2", "--signs", "--mod2", "--spin-relations")
     assert code == 0
     assert out.count("pass") == 4
 
 
 def test_check_default_suites(grid_file, capsys):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, _ = run(capsys, "check", path)
     assert code == 0 and "d2: pass" in out
 
@@ -113,7 +114,7 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
         return right_mul(peeled, a, b) ^ ((peeled[0], (a, b)) == (x0, label0))
 
     monkeypatch.setattr(complexes, "_right_mul", flipped)
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     code, out, _ = run(capsys, "check", path)
     lines = out.splitlines()
     assert code == 1 and len(lines) == 3
@@ -125,7 +126,7 @@ def test_check_reports_a_flipped_group_law_sign(grid_file, capsys, monkeypatch):
 def test_check_torus_3_5_counts(grid_file, capsys):
     # n = 8, the largest check: one start per translation orbit, weighted by
     # the orbit size, gives the counts of the walk over all 8! starts
-    path = grid_file("t35.grid", grid.torus_grid(3, 5))
+    path = grid_file("t35.grid", torus_grid(3, 5))
     code, out, _ = run(capsys, "check", path)
     assert code == 0
     assert out == "d2: pass\nsigns: pass (square 7927616, vertical 322560, horizontal 322560)\nmod2: pass\n"
@@ -144,9 +145,9 @@ def test_check_scans_each_generator_once(grid_file, capsys, monkeypatch):
         return table(G)
 
     monkeypatch.setattr(complexes, "rectangle_table", counted)
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     assert run(capsys, "check", path)[0] == 0
-    assert calls == [grid.trefoil5()]
+    assert calls == [trefoil5()]
     calls.clear()
     assert run(capsys, "check", path, "--spin-relations")[0] == 0
     assert not calls
@@ -165,13 +166,13 @@ def test_check_peels_each_generator_once(grid_file, capsys, monkeypatch):
         return peel(perm)
 
     monkeypatch.setattr(complexes, "_peel", counted)
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     assert run(capsys, "check", path)[0] == 0
     assert len(calls) == 120 and len(set(calls)) == 120  # 5! generators, one peel each
 
 
 def test_homology_text_and_json_deterministic(grid_file, capsys):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out1, _ = run(capsys, "homology", path, "--flavor", "hat", "--json")
     code2, out2, _ = run(capsys, "homology", path, "--flavor", "hat", "--json")
     assert code == code2 == 0
@@ -183,7 +184,7 @@ def test_homology_text_and_json_deterministic(grid_file, capsys):
 
 
 def test_homology_tilde_text(grid_file, capsys):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, _ = run(capsys, "homology", path)
     assert code == 0
     assert "total free rank: 2" in out
@@ -199,7 +200,7 @@ def test_hat_without_the_factor_exits_one(grid_file, capsys, monkeypatch):
     from gridspin.homology import Bigrading
 
     monkeypatch.setattr(homology, "bigraded_homology", lambda G, a2: [(Bigrading(0, (2,)), 1, ())])
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, err = run(capsys, "homology", path, "--flavor", "hat")
     assert code == 1 and out == ""
     lines = err.splitlines()
@@ -222,7 +223,7 @@ def test_region_torsion_is_mirrored_or_refused(grid_file, capsys, monkeypatch):
         return [(Bigrading(-1, (-1,)), 0, (2,)), (Bigrading(0, (1,)), 0, (2,))]
 
     monkeypatch.setattr(homology, "bigraded_homology", pieces)
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     code, out, err = run(capsys, "homology", path, "--json")
     assert code == 0 and err == ""
     data = json.loads(out)
@@ -240,13 +241,13 @@ def test_region_torsion_is_mirrored_or_refused(grid_file, capsys, monkeypatch):
 
 
 def test_alexander(grid_file, capsys):
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     code, out, _ = run(capsys, "alexander", path)
     assert code == 0 and out.strip() == "t - 1 + t^-1"
 
 
 def test_move_and_invariance(grid_file, capsys, tmp_path):
-    path = grid_file("t.grid", grid.trefoil5())
+    path = grid_file("t.grid", trefoil5())
     script = tmp_path / "moves.txt"
     script.write_text("cyclic up\nstabilize row 0 ONW\n")
     out_path = tmp_path / "moved.grid"
@@ -274,15 +275,15 @@ def test_invariance_matches_three_components_across_a_stabilization(grid_file, c
 
 
 def test_invariance_failure_exit_code(grid_file, capsys):
-    p1 = grid_file("u.grid", grid.unknot2())
-    p2 = grid_file("t.grid", grid.trefoil5())
+    p1 = grid_file("u.grid", unknot2())
+    p2 = grid_file("t.grid", trefoil5())
     code, out, _ = run(capsys, "invariance", p1, p2)
     assert code == 1
     assert "hat polynomials equal: False" in out
 
 
 def test_invariance_json(grid_file, capsys):
-    p1 = grid_file("u.grid", grid.unknot2())
+    p1 = grid_file("u.grid", unknot2())
     code, out, _ = run(capsys, "invariance", p1, p1, "--json")
     assert code == 0
     data = json.loads(out)
@@ -290,7 +291,7 @@ def test_invariance_json(grid_file, capsys):
 
 
 def test_bad_move_script(grid_file, capsys, tmp_path):
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     script = tmp_path / "moves.txt"
     script.write_text("commute cols 0\n")  # interleaved on the 2x2 unknot
     code, _, err = run(capsys, "move", path, "--script", str(script), "-o", str(tmp_path / "x.grid"))
@@ -381,7 +382,7 @@ def test_size_bound(grid_file, capsys):
 
 def test_threads_positive(grid_file, capsys):
     # --threads is no option: even a positive count is malformed input
-    path = grid_file("u.grid", grid.unknot2())
+    path = grid_file("u.grid", unknot2())
     with pytest.raises(SystemExit) as exc:
         cli.main(["--threads", "2", "validate", path])
     assert exc.value.code == 2

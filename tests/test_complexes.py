@@ -18,13 +18,14 @@ from oracle_signs import (
     signed_table,
     swapped_sign,
 )
+from sample_grids import all_grids, hopf4, random_grid, trefoil5, unknot2
 from gridspin import grid, spin
 from gridspin.complexes import _orbits, _shapes, _translation_gauges, _walk, check_sign_axioms, mod2_mismatch, rectangle_table
 from gridspin.grid import GridDiagram
 
 
 def test_unknot_minus_differential():
-    G = grid.unknot2()
+    G = unknot2()
     assert differential_minus(G, spin.section((0, 1))) == {}
     d = differential_minus(G, spin.section((1, 0)))
     # the two rectangles carry the O of column 1 and column 0 with
@@ -36,7 +37,7 @@ def test_unknot_minus_differential():
 
 
 def test_unknot_sign_values():
-    G = grid.unknot2()
+    G = unknot2()
     assert sign_assignment(G, (0, 1), (0, 1)) == 1
     assert sign_assignment(G, (1, 0), (0, 1)) == -1
     assert sign_assignment(G, (1, 0), (1, 0)) == 1
@@ -48,7 +49,7 @@ def test_unknot_sign_values():
 
 
 def test_signs_refuse_non_generators():
-    G = grid.trefoil5()
+    G = trefoil5()
     for x in ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5), (0, 0, 1, 2, 3)):
         with pytest.raises(ValueError, match=re.escape(str(x))):
             sign_assignment(G, x, (0, 1))
@@ -61,8 +62,8 @@ def test_rectangle_sign_is_the_cocycle_formula():
     # each table bit's sign (-1)^bit against eps(r) * c(x, t) by the
     # generic group law
     rng = random.Random(1005)
-    grids = [*grid.all_grids(2), *grid.all_grids(3), *grid.all_grids(4)]
-    grids += [grid.random_grid(5, rng) for _ in range(3)]
+    grids = [*all_grids(2), *all_grids(3), *all_grids(4)]
+    grids += [random_grid(5, rng) for _ in range(3)]
     for G in grids:
         for x, records in zip(*rectangle_table(G)):
             for label, _, bit, _, _ in records:
@@ -73,7 +74,7 @@ def test_rectangle_sign_is_the_cocycle_formula():
 
 def test_unknot_graded_differential_vanishes():
     # every rectangle of the 2x2 grid holds a marker
-    G = grid.unknot2()
+    G = unknot2()
     for x in ((0, 1), (1, 0)):
         assert grid.empty_rectangles(G, x) == []
 
@@ -83,7 +84,7 @@ def test_rectangle_table_matches_the_scan():
     # the peeling loop's group-law bit, in the order of a plain scan of x,
     # on every grid with n <= 4 and seeded n = 5, 6, 7 grids
     rng = random.Random(2801)
-    for G in [G for n in (2, 3, 4) for G in grid.all_grids(n)] + [grid.random_grid(n, rng) for n in (5, 6, 7)]:
+    for G in [G for n in (2, 3, 4) for G in all_grids(n)] + [random_grid(n, rng) for n in (5, 6, 7)]:
         n = G.n
         gens, per_generator = rectangle_table(G)
         assert gens == list(itertools.permutations(range(n)))
@@ -116,7 +117,7 @@ def test_shapes_match_the_rectangle_oracle():
     # against the oracle's cells and O-counts of the same rectangle, on
     # every grid with n <= 3 and seeded n = 4..8 grids
     rng = random.Random(2802)
-    for G in [G for n in (2, 3) for G in grid.all_grids(n)] + [grid.random_grid(n, rng) for n in range(4, 9) for _ in range(2)]:
+    for G in [G for n in (2, 3) for G in all_grids(n)] + [random_grid(n, rng) for n in range(4, 9) for _ in range(2)]:
         n = G.n
         shapes = _shapes(G)
         assert len(shapes) == n and all(len(per_row) == n for per_row in shapes)
@@ -140,7 +141,7 @@ def test_records_of_one_shape_share_their_objects():
     # a shape is (a, bottom row v, b, height h); every record of one shape
     # holds the same label and cell mask objects, so the table holds no
     # per-record int or tuple beyond its target index and bit
-    G = grid.random_grid(5, random.Random(23))
+    G = random_grid(5, random.Random(23))
     n = G.n
     _, per_generator = rectangle_table(G)
     records = [r for rs in per_generator for r in rs]
@@ -172,7 +173,7 @@ def _crafted_tables():
 def test_mod2_mismatch_matches_the_dict_sum_oracle():
     unique = repeated = 0
     for n in (2, 3, 4):
-        real = rectangle_table(grid.random_grid(n, random.Random(n)))
+        real = rectangle_table(random_grid(n, random.Random(n)))
         assert mod2_mismatch(real) is None is oracle_mod2.table_mismatch(real)
     for gens, table in _crafted_tables():
         n = len(gens[0])
@@ -189,7 +190,7 @@ def test_mod2_mismatch_matches_the_dict_sum_oracle():
 def test_mod2_mismatch_reads_every_record(field):
     # a malformed target or okey in the table's last record fails both the
     # check and the oracle
-    G = grid.random_grid(4, random.Random(2804))
+    G = random_grid(4, random.Random(2804))
     gens, table = rectangle_table(G)
     table = [list(records) for records in table]
     last = list(table[-1][-1])
@@ -201,7 +202,7 @@ def test_mod2_mismatch_reads_every_record(field):
 
 
 def test_d_squared_zero_all_n3():
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         assert not check_sign_axioms(rectangle_table(G)).d2_offenders
 
 
@@ -211,7 +212,7 @@ def test_d_squared_offenders_report_monomials(monkeypatch):
     # peeling loop; this rectangle's composites include U-exponents of 2
     from gridspin import complexes
 
-    G = grid.trefoil5()
+    G = trefoil5()
     x0, label0 = (1, 0, 2, 3, 4), (0, 1)
     right_mul = spin._right_mul
 
@@ -251,10 +252,10 @@ def test_pair_walk_matches_the_two_walk_oracle(n):
     # the others fall back to the walk over every start, every sign +1
     # after the gauge pass has held and the orbit walk has failed
     if n == 4:
-        grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+        grids = [G for m in (2, 3, 4) for G in all_grids(m)]
     else:
         rng = random.Random(1600 + n)
-        grids = [grid.random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
+        grids = [random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
     rng = random.Random(1616)
     kinds = set()
     for G in grids:
@@ -318,7 +319,7 @@ def test_gauge_pass_rejects_every_single_bit_flip():
     # each (x, label) group-law bit of an n = 4 table flipped in turn: the
     # gauge pass rejects the flip, and the fallback walk gives the oracle's
     # report
-    G = grid.random_grid(4, random.Random(2204))
+    G = random_grid(4, random.Random(2204))
     gens, rects = table = rectangle_table(G)
     assert _translation_gauges(*table) is not None
     flips = 0
@@ -343,7 +344,7 @@ def test_gauge_pass_rejects_row_orbit_mutants():
     # and every record sent to the target of another record of x (some of
     # those keep both gauge identities, so only the column target check
     # rejects them)
-    G = grid.random_grid(4, random.Random(2206))
+    G = random_grid(4, random.Random(2206))
     gens, rects = table = rectangle_table(G)
     row = _translation_gauges(*table)[0]
     rng = random.Random(2207)
@@ -382,7 +383,7 @@ def test_translation_gauges_equal_their_closed_forms():
     # the orbits of the two translations partition the generators
     rng = random.Random(2205)
     parity = lambda p: len(spin.canonical_word(p)) % 2
-    grids = [grid.random_grid(n, rng) for n in range(2, 7)] + [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+    grids = [random_grid(n, rng) for n in range(2, 7)] + [G for m in (2, 3, 4) for G in all_grids(m)]
     for G in grids:
         n = G.n
         shift = tuple(range(1, n)) + (0,)
@@ -417,10 +418,10 @@ def test_domain_2chain_key_matches_the_oracle_key(n):
     # partition that the oracle's key (w, m1 | m2, m1 & m2) gives, pairs
     # back to x included
     if n == 4:
-        grids = [G for m in (2, 3, 4) for G in grid.all_grids(m)]
+        grids = [G for m in (2, 3, 4) for G in all_grids(m)]
     else:
         rng = random.Random(2000 + n)
-        grids = [grid.random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
+        grids = [random_grid(n, rng) for _ in range(20 if n == 5 else 2)]
     covered_twice = 0
     for G in grids:
         gens, rects = rectangle_table(G)
@@ -438,7 +439,7 @@ def test_domain_2chain_key_matches_the_oracle_key(n):
 
 def test_graded_d_squared_zero_all_n3():
     # the marker-free rectangles with group-law signs square to zero
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         for x in itertools.permutations(range(3)):
             dd = {}
             for l1, y in grid.empty_rectangles(G, x):
@@ -448,7 +449,7 @@ def test_graded_d_squared_zero_all_n3():
 
 
 def test_graded_differential_preserves_alexander():
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         for x in itertools.permutations(range(3)):
             A = grid.alexander2(G, x)
             M = grid.maslov(G, x)
@@ -460,7 +461,7 @@ def test_graded_differential_preserves_alexander():
 
 
 def test_sign_axioms_unknot_products():
-    G = grid.unknot2()
+    G = unknot2()
     report = check_sign_axioms(rectangle_table(G))
     assert report.ok
     assert report.vertical_annuli == 4 and report.horizontal_annuli == 4
@@ -472,7 +473,7 @@ def test_sign_axioms_unknot_products():
 
 @pytest.mark.parametrize("sign", [None, reversed_sign], ids=["right", "reversed"])
 def test_sign_axioms_all_n3(sign):
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         table = rectangle_table(G)
         report = check_sign_axioms(signed_table(table, sign) if sign else table)
         assert report.ok, (G, report.violations[:3])
@@ -480,7 +481,7 @@ def test_sign_axioms_all_n3(sign):
 
 @pytest.mark.parametrize(
     "G,counts,swapped",
-    [(grid.hopf4(), (488, 96, 96), 232), (grid.trefoil5(), (5400, 600, 600), 2233)],
+    [(hopf4(), (488, 96, 96), 232), (trefoil5(), (5400, 600, 600), 2233)],
     ids=["hopf4", "trefoil5"],
 )
 def test_sign_axiom_counts_pinned(G, counts, swapped):
@@ -508,7 +509,7 @@ def test_swapped_variant_fails_annulus_axioms():
 
 
 def test_coboundary_trivial_gauge():
-    G = grid.unknot2()
+    G = unknot2()
     S = lambda x: lambda l: sign_assignment(G, x, l)
     res = check_coboundary_equivalence(S, S, rectangle_table(G))
     assert res.ok and set(res.gauge.values()) <= {1, -1}
@@ -538,14 +539,14 @@ def test_coboundary_recovers_maslov_twist():
 
 
 def test_coboundary_right_vs_reversed_n3():
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         S1 = lambda x: lambda l: sign_assignment(G, x, l)
         res = check_coboundary_equivalence(S1, reversed_sign, rectangle_table(G))
         assert res.ok
 
 
 def test_coboundary_detects_inconsistency():
-    G = grid.unknot2()
+    G = unknot2()
     S1 = lambda x: lambda l: sign_assignment(G, x, l)
     # flipping a single rectangle breaks every gauge
     S2 = lambda x: lambda l: S1(x)(l) * (-1 if (x, l) == ((0, 1), (0, 1)) else 1)
@@ -557,7 +558,7 @@ def test_d_squared_on_random_n5():
     import random
 
     rng = random.Random(17)
-    G = grid.random_grid(5, rng)
+    G = random_grid(5, rng)
     assert not check_sign_axioms(rectangle_table(G)).d2_offenders
 
 
@@ -568,7 +569,7 @@ def test_minus_differential_bidegree():
 
     rng = random.Random(3)
     for _ in range(5):
-        G = grid.random_grid(4, rng)
+        G = random_grid(4, rng)
         comps = G.components
         for x in itertools.permutations(range(4)):
             M, A = grid.maslov(G, x), grid.alexander2(G, x)

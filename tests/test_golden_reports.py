@@ -17,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 from oracle_signs import reversed_sign, signed_table, swapped_sign
+from sample_grids import hopf4, random_grid, trefoil5
 from gridspin import complexes, grid, spin
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,12 +25,12 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 
 def report_grids():
-    yield "hopf4", grid.hopf4()
-    yield "trefoil5", grid.trefoil5()
+    yield "hopf4", hopf4()
+    yield "trefoil5", trefoil5()
     yield "unlink4", grid.parse_grid_text((ROOT / "grids/unlink4.grid").read_text(encoding="utf-8"))
     rng = random.Random(4010)
     for k in range(10):
-        yield f"random4-{k}", grid.random_grid(4, rng)
+        yield f"random4-{k}", random_grid(4, rng)
 
 
 def _digest(value) -> str:

@@ -8,12 +8,13 @@ import oracle_mod2
 import oracle_rectangles as rects
 from oracle_hat import below_every_generator
 from oracle_signs import is_horizontally_torn
+from sample_grids import all_grids, hopf4, random_grid, torus_grid, trefoil5, unknot2
 from gridspin import grid
 from gridspin.grid import GridDiagram, GridError
 
 
 def test_validate_accepts_unknot():
-    G = grid.unknot2()
+    G = unknot2()
     assert G.n == 2 and G.o_rows == (1, 0) and G.x_rows == (0, 1)
 
 
@@ -33,7 +34,7 @@ def test_validate_rejects(args, code):
 
 
 def test_trace_components_unknot():
-    c = grid.unknot2().components
+    c = unknot2().components
     assert c.l == 1 and c.n_i == (2,)
 
 
@@ -48,7 +49,7 @@ def test_components_partition_rows():
 
     rng = random.Random(0)
     for _ in range(30):
-        G = grid.random_grid(rng.randint(2, 6), rng)
+        G = random_grid(rng.randint(2, 6), rng)
         c = G.components
         assert sum(c.n_i) == G.n
         assert sorted(set(c.comp_of_o)) == list(range(1, c.l + 1))
@@ -78,9 +79,9 @@ def test_components_match_oracle():
     import random
 
     rng = random.Random(12)
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
-    grids += [grid.random_grid(rng.randint(5, 30), rng) for _ in range(200)]
-    grids += [grid.torus_grid(p, q) for p in range(1, 6) for q in range(1, 6)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
+    grids += [random_grid(rng.randint(5, 30), rng) for _ in range(200)]
+    grids += [torus_grid(p, q) for p in range(1, 6) for q in range(1, 6)]
     # n/2 two-row components, the case a per-component rescan made quadratic
     n = 400
     grids.append(GridDiagram(n, tuple(r ^ 1 for r in range(n)), tuple(range(n))))
@@ -121,13 +122,13 @@ def test_count_pairs_formal_bilinearity():
 
 
 def test_maslov_unknot():
-    G = grid.unknot2()
+    G = unknot2()
     assert grid.maslov(G, (0, 1)) == 0
     assert grid.maslov(G, (1, 0)) == -1
 
 
 def test_alexander_unknot():
-    G = grid.unknot2()
+    G = unknot2()
     assert grid.alexander2(G, (0, 1)) == (0,)
     assert grid.alexander2(G, (1, 0)) == (-2,)
 
@@ -138,11 +139,11 @@ def test_gradings_match_oracle():
     # against grouping those gradings in itertools.permutations order
     import random
 
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
     rng = random.Random(35)
-    grids += [grid.random_grid(5, rng) for _ in range(20)]
-    grids += [grid.random_grid(6, rng) for _ in range(3)]
-    grids.append(grid.torus_grid(3, 3))  # three components
+    grids += [random_grid(5, rng) for _ in range(20)]
+    grids += [random_grid(6, rng) for _ in range(3)]
+    grids.append(torus_grid(3, 3))  # three components
     for G in grids:
         by_grading = {}
         for x in itertools.permutations(range(G.n)):
@@ -152,7 +153,7 @@ def test_gradings_match_oracle():
         assert list(grid.graded_generators(G, below_every_generator(G)).items()) == list(by_grading.items()), G
     # T(3, 5) at n = 8, past the sizes above: the oracle on a seeded
     # sample, the walk on all 40,320 generators
-    T = grid.torus_grid(3, 5)
+    T = torus_grid(3, 5)
     for x in [tuple(rng.sample(range(8), 8)) for _ in range(300)]:
         got = (grid.maslov(T, x), grid.alexander2(T, x))
         assert got == oracle_mod2.gradings(8, T.o_rows, T.x_rows, x), x
@@ -172,15 +173,15 @@ def test_region_walk_is_the_filtered_full_walk(monkeypatch):
     # test_gradings_match_oracle holds to the per-generator grouping
     import random
 
-    grids = [G for n in (2, 3, 4, 5) for G in grid.all_grids(n)]
+    grids = [G for n in (2, 3, 4, 5) for G in all_grids(n)]
     rng = random.Random(2502)
     wanted = {(6, 2): 3, (6, 3): 2, (7, 2): 2, (7, 3): 2}
     while any(wanted.values()):
-        G = grid.random_grid(rng.choice((6, 7)), rng)
+        G = random_grid(rng.choice((6, 7)), rng)
         if wanted.get((G.n, G.components.l)):
             wanted[G.n, G.components.l] -= 1
             grids.append(G)
-    T = grid.torus_grid(3, 4)
+    T = torus_grid(3, 4)
     cases = [(G, (0,) * G.components.l) for G in grids]
     cases += [(T, (a,)) for a in (-20, -7, -2, 1, 4, 6, 7)]
     for G, a2 in cases:
@@ -224,7 +225,7 @@ def test_alexander_parity_constant_per_component():
 
     rng = random.Random(4)
     for _ in range(20):
-        G = grid.random_grid(rng.randint(2, 5), rng)
+        G = random_grid(rng.randint(2, 5), rng)
         parities = None
         for x in itertools.permutations(range(G.n)):
             p = tuple(a % 2 for a in grid.alexander2(G, x))
@@ -236,11 +237,11 @@ def _scan_grids():
     """Every grid with n <= 4, ten seeded n = 5, two n = 6 and one n = 7."""
     import random
 
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
     rng = random.Random(25)
-    grids += [grid.random_grid(5, rng) for _ in range(10)]
-    grids += [grid.random_grid(6, rng) for _ in range(2)]
-    grids.append(grid.random_grid(7, rng))
+    grids += [random_grid(5, rng) for _ in range(10)]
+    grids += [random_grid(6, rng) for _ in range(2)]
+    grids.append(random_grid(7, rng))
     return grids
 
 
@@ -265,7 +266,7 @@ def test_marker_free_scan_matches_filter_and_cell_oracle():
 
 
 def test_realize_rectangle_spans():
-    G = grid.unknot2()
+    G = unknot2()
     r = rects.realize_rectangle(G, (0, 1), (0, 1))
     assert r.col_span == (0,) and r.row_span == (0,)
     r = rects.realize_rectangle(G, (0, 1), (1, 0))
@@ -291,7 +292,7 @@ def test_complementary_rectangles():
 
 
 def test_is_empty():
-    G = grid.unknot2()
+    G = unknot2()
     for label in ((0, 1), (1, 0)):
         assert rects.is_empty(G, (0, 1), rects.realize_rectangle(G, (0, 1), label))
     G3 = GridDiagram(3, (1, 2, 0), (0, 1, 2))
@@ -300,7 +301,7 @@ def test_is_empty():
 
 
 def test_marker_counts():
-    G = grid.unknot2()
+    G = unknot2()
     oc, xc = rects.marker_counts(G, rects.realize_rectangle(G, (0, 1), (0, 1)))
     assert sum(oc) == 0 and sum(xc) == 1
     oc, xc = rects.marker_counts(G, rects.realize_rectangle(G, (1, 0), (0, 1)))
@@ -325,7 +326,7 @@ def test_is_horizontally_torn():
 
 
 def test_grading_drop_identities_exhaustive_n3():
-    for G in grid.all_grids(3):
+    for G in all_grids(3):
         comps = G.components
         for x in itertools.permutations(range(3)):
             M = grid.maslov(G, x)
@@ -341,17 +342,17 @@ def test_grading_drop_identities_exhaustive_n3():
 
 
 def test_grid_counts():
-    assert sum(1 for _ in grid.all_grids(2)) == 2
-    assert sum(1 for _ in grid.all_grids(3)) == 12
+    assert sum(1 for _ in all_grids(2)) == 2
+    assert sum(1 for _ in all_grids(3)) == 12
 
 
 def test_named_grids():
-    assert grid.trefoil5().components.n_i == (5,)
-    assert grid.hopf4().components.n_i == (2, 2)
+    assert trefoil5().components.n_i == (5,)
+    assert hopf4().components.n_i == (2, 2)
 
 
 def test_text_format_roundtrip():
-    T = grid.trefoil5()
+    T = trefoil5()
     text = grid.format_grid_text(T, comment="example")
     assert grid.parse_grid_text(text) == T
 
@@ -363,5 +364,5 @@ def test_text_format_errors():
 
 
 def test_ascii_art():
-    art = grid.ascii_art(grid.unknot2())
+    art = grid.ascii_art(unknot2())
     assert art.splitlines() == ["O X", "X O"]

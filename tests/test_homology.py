@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import oracle_mod2
 import oracle_rectangles
 import oracle_snf
 import oracle_spin
+from sample_grids import all_grids, hopf4, random_grid, torus_grid, trefoil5, unknot2
 from gridspin import grid, homology
 from gridspin.grid import GridDiagram
 from gridspin.homology import (
@@ -21,11 +23,12 @@ from gridspin.homology import (
     bigraded_homology,
     divide_hat_factor,
     equal_up_to_t_shift,
+    half_str,
     render_polynomial,
     smith_normal_form,
     tilde_homology,
 )
-from oracle_hat import full_tilde, hat_reduction
+from oracle_hat import full_tilde, has_torsion, hat_reduction, piece
 from oracle_snf import IntegerMatrix
 
 # ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ def test_marker_free_targets_repeat_on_split_grids():
     assert sorted(oracle_spin.right_mul(x, *label) for label, _ in found) == [0, 1]
     assert (x, (0, 1, 2, 3)) in _cancelling_targets(G)
     assert _mod2_ranks(tilde_homology(G)) == oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows)
-    assert sum(len(_cancelling_targets(G)) for n in (2, 3, 4) for G in grid.all_grids(n)) == 32
+    assert sum(len(_cancelling_targets(G)) for n in (2, 3, 4) for G in all_grids(n)) == 32
 
 
 def test_one_snf_call_per_bigrading_block(monkeypatch):
@@ -188,7 +191,7 @@ def test_one_snf_call_per_bigrading_block(monkeypatch):
         return solve(columns)
 
     monkeypatch.setattr(homology, "smith_normal_form", counting)
-    for G in (grid.hopf4(), grid.trefoil5()):
+    for G in (hopf4(), trefoil5()):
         calls.clear()
         centre = tuple(1 - k for k in G.components.n_i)
         H = bigraded_homology(G, centre)
@@ -214,7 +217,7 @@ def test_assembly_leaves_no_reference_cycles():
     gc.disable()
     try:
         gc.collect()
-        for G in (grid.trefoil5(), grid.hopf4()):
+        for G in (trefoil5(), hopf4()):
             tilde_homology(G)
         assert gc.collect() == 0
     finally:
@@ -247,7 +250,7 @@ def _boundary_blocks(G):
 
 
 def test_snf_boundary_blocks():
-    for G in (grid.trefoil5(), grid.random_grid(6, random.Random(66))):
+    for G in (trefoil5(), random_grid(6, random.Random(66))):
         for _, A in _boundary_blocks(G):
             _certified_diagonal(A)
 
@@ -256,7 +259,7 @@ def test_snf_n7_knot_blocks():
     # blocks of an n = 7 knot (up to 686 generators a side); the oracle is
     # certified on smaller inputs above, and its product check would take
     # most of a minute here
-    G = grid.random_grid(7, random.Random(2))
+    G = random_grid(7, random.Random(2))
     assert G.components.l == 1
     for _, A in _boundary_blocks(G):
         assert smith_normal_form(oracle_snf.columns(A)).diagonal == oracle_snf.smith_normal_form(A).diagonal
@@ -286,18 +289,18 @@ def _clearing_grids():
     n = 7 knot, the size of the benchmark's largest workload.  Pivot rows
     filed under the wrong block agree with the full blocks on every grid
     with n <= 5 but not at n = 6."""
-    yield from (G for n in (2, 3, 4) for G in grid.all_grids(n))
+    yield from (G for n in (2, 3, 4) for G in all_grids(n))
     rng = random.Random(605)
-    yield from (grid.random_grid(5, rng) for _ in range(20))
+    yield from (random_grid(5, rng) for _ in range(20))
     rng = random.Random(606)
     wanted = {1: 2, 2: 2, 3: 2}
     while any(wanted.values()):
-        G = grid.random_grid(6, rng)
+        G = random_grid(6, rng)
         if wanted.get(G.components.l):
             wanted[G.components.l] -= 1
             yield G
     rng = random.Random(607)
-    yield next(G for G in iter(lambda: grid.random_grid(7, rng), None) if G.components.l == 1)
+    yield next(G for G in iter(lambda: random_grid(7, rng), None) if G.components.l == 1)
 
 
 def test_clearing_matches_full_blocks():
@@ -332,7 +335,7 @@ def test_clearing_skips_the_unit_pivot_rows_above(monkeypatch):
     monkeypatch.setattr(grid, "empty_rectangles", counting)
     monkeypatch.setattr(homology, "smith_normal_form", reporting)
     rng = random.Random(6)
-    grids = [grid.trefoil5(), grid.hopf4(), grid.unknot2()] + [grid.random_grid(n, rng) for n in (5, 5, 6, 6)]
+    grids = [trefoil5(), hopf4(), unknot2()] + [random_grid(n, rng) for n in (5, 5, 6, 6)]
     counts = []
     for G in grids:
         scans.clear()
@@ -574,6 +577,11 @@ def test_laurent_rendering():
     assert render_polynomial(Laurent.from_dict(1, {(0, (2,)): 1, (0, (0,)): -1, (0, (-2,)): 1})) == "t - 1 + t^-1"
 
 
+def test_half_str_matches_fraction():
+    for a in range(-60, 61):
+        assert half_str(a) == str(Fraction(a, 2))
+
+
 def test_equal_up_to_t_shift():
     p = Laurent.from_dict(1, {(0, (0,)): 1, (-1, (-2,)): 2})
     q = p.shifted(0, (4,))
@@ -587,15 +595,15 @@ def test_equal_up_to_t_shift():
 
 
 def test_unknot_homology_exact():
-    G = grid.unknot2()
+    G = unknot2()
     H = tilde_homology(G)
-    assert H.total_rank == 2 and not H.has_torsion
-    assert H.piece(0, (0,)) == (1, ())
-    assert H.piece(-1, (-2,)) == (1, ())
+    assert H.total_rank == 2 and not has_torsion(H)
+    assert piece(H, 0, (0,)) == (1, ())
+    assert piece(H, -1, (-2,)) == (1, ())
     assert render_polynomial(H.poincare) == "1 + q^-1*t^-1"
     assert render_polynomial(H.euler) == "1 - t^-1"
     hat = hat_reduction(full_tilde(G))
-    assert hat.total_rank == 1 and hat.piece(0, (0,)) == (1, ())
+    assert hat.total_rank == 1 and piece(hat, 0, (0,)) == (1, ())
     assert render_polynomial(alexander_polynomial(G)) == "1"
 
 
@@ -613,16 +621,16 @@ def test_unknot_3x3_hat():
 def test_unlink_homology():
     G = GridDiagram(4, (0, 1, 2, 3), (1, 0, 3, 2))
     H = tilde_homology(G)
-    assert H.total_rank == 8 and not H.has_torsion
+    assert H.total_rank == 8 and not has_torsion(H)
     hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 2
     assert render_polynomial(hat.poincare) == "1 + q^-1"
 
 
 def test_trefoil_homology():
-    T = grid.trefoil5()
+    T = trefoil5()
     H = tilde_homology(T)
-    assert H.total_rank == 48 and not H.has_torsion
+    assert H.total_rank == 48 and not has_torsion(H)
     hat = hat_reduction(full_tilde(T))
     assert hat.total_rank == 3
     gradings = sorted(bg.alexander2[0] for bg, r, _ in hat.pieces)
@@ -659,7 +667,7 @@ def test_torus_knots_match_closed_form(p, q):
     # grading d_k, d_0 = 0, d_k = d_(k-1) - 1 for even k and
     # d_(k-1) - 2 (n_(k-1) - n_k) + 1 for odd k (Ozsvath-Szabo).  The grid
     # presents the mirror, whose hat homology sits at (-d_k, -n_k).
-    G = grid.torus_grid(p, q)
+    G = torus_grid(p, q)
     assert G.n == p + q and G.components.l == 1
     coeffs = _torus_delta(p, q)
     degree = len(coeffs) - 1
@@ -676,7 +684,7 @@ def test_torus_knots_match_closed_form(p, q):
         expected[(-d, (-2 * staircase[k][0],))] = 1
     hat = hat_reduction(full_tilde(G))
     assert {(bg.maslov, bg.alexander2): r for bg, r, _ in hat.pieces} == expected
-    assert not hat.has_torsion
+    assert not has_torsion(hat)
 
 
 def _at_one_t(euler):
@@ -725,16 +733,16 @@ def test_winding_determinant_oracle():
 
 
 def test_torus_grid_shape():
-    assert grid.torus_grid(2, 3) == grid.trefoil5()
-    G = grid.torus_grid(3, 5)
+    assert torus_grid(2, 3) == trefoil5()
+    G = torus_grid(3, 5)
     assert G.x_rows == tuple(range(8)) and G.o_rows == (3, 4, 5, 6, 7, 0, 1, 2)
     for p, q in ((0, 3), (3, 0), (-1, 4)):
         with pytest.raises(ValueError):
-            grid.torus_grid(p, q)
+            torus_grid(p, q)
 
 
 def test_hopf_link_hat():
-    G = grid.hopf4()
+    G = hopf4()
     hat = hat_reduction(full_tilde(G))
     assert hat.total_rank == 4  # Hopf link hat homology has rank four
 
@@ -742,7 +750,7 @@ def test_hopf_link_hat():
 def test_tilde_euler_factors_through_alexander():
     # for knots the tilde Euler characteristic carries the extra factor
     # (1 - 1/t)^(n-1) on top of the Alexander polynomial
-    for G in (grid.unknot2(), grid.trefoil5()):
+    for G in (unknot2(), trefoil5()):
         H = tilde_homology(G)
         delta = alexander_polynomial(G)
         n = G.n
@@ -762,9 +770,9 @@ def test_tilde_euler_factors_through_alexander():
 def test_mod2_oracle_agrees_on_random_grids():
     # universal coefficients against the GF(2) oracle
     rng = random.Random(31)
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
-    grids += [grid.random_grid(5, rng) for _ in range(5)]
-    grids += [grid.random_grid(6, rng) for _ in range(2)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
+    grids += [random_grid(5, rng) for _ in range(5)]
+    grids += [random_grid(6, rng) for _ in range(2)]
     for G in grids:
         assert oracle_mod2.bigraded_ranks(G.n, G.o_rows, G.x_rows) == _mod2_ranks(tilde_homology(G)), G
 
@@ -773,7 +781,7 @@ def test_homology_independent_of_basis_order():
     # permuting the generator basis inside each piece leaves ranks and
     # torsion unchanged
     rng = random.Random(5)
-    G = grid.random_grid(4, rng)
+    G = random_grid(4, rng)
     gens = list(itertools.permutations(range(4)))
     grading = {x: (grid.maslov(G, x), grid.alexander2(G, x)) for x in gens}
     pieces = {}
@@ -798,7 +806,7 @@ def test_homology_independent_of_basis_order():
         for bg, members in shuffled.items():
             up = (bg[0] + 1, bg[1])
             free = len(members) - ranks[bg] - ranks.get(up, 0)
-            want_rank, want_tor = H.piece(bg[0], bg[1])
+            want_rank, want_tor = piece(H, bg[0], bg[1])
             assert free == want_rank
             assert tors.get(up, ()) == want_tor
 
@@ -806,16 +814,16 @@ def test_homology_independent_of_basis_order():
 def _region_grids():
     """Every grid with n <= 4, seeded n = 5..7 grids of one to three
     components and torus grids of one to four components."""
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
     rng = random.Random(2501)
     wanted = {(5, 1): 4, (5, 2): 4, (6, 1): 3, (6, 2): 3, (6, 3): 2, (7, 1): 2, (7, 2): 2, (7, 3): 2}
     while any(wanted.values()):
-        G = grid.random_grid(rng.choice((5, 6, 7)), rng)
+        G = random_grid(rng.choice((5, 6, 7)), rng)
         if wanted.get((G.n, G.components.l)):
             wanted[G.n, G.components.l] -= 1
             grids.append(G)
     torus = ((2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (2, 6), (3, 5), (4, 4))
-    grids += [grid.torus_grid(p, q) for p, q in torus]
+    grids += [torus_grid(p, q) for p, q in torus]
     assert {G.components.l for G in grids} == {1, 2, 3, 4}
     return grids
 
@@ -838,14 +846,14 @@ def test_region_tilde_matches_the_full_walk():
 
 
 def test_hat_reduction_bad_inputs():
-    G = grid.unknot2()
+    G = unknot2()
     hat = hat_reduction(full_tilde(G))
     with pytest.raises(ValueError):
         hat_reduction(hat)
 
 
 def test_summary_json_shape():
-    G = grid.unknot2()
+    G = unknot2()
     d = tilde_homology(G).to_json_dict()
     assert set(d) == {"flavor", "pieces", "poincare", "euler"}
     assert d["pieces"][0].keys() == {"maslov", "alexander2", "free_rank", "torsion"}

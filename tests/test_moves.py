@@ -5,7 +5,8 @@ import pytest
 import oracle_moves
 import random_moves
 from oracle_chain import cyclic_component_map, phi_cyclic_horizontal, phi_cyclic_vertical
-from gridspin import grid, moves, spin
+from sample_grids import all_grids, hopf4, random_grid, trefoil5, unknot2
+from gridspin import moves, spin
 from gridspin.grid import GridDiagram
 from gridspin.homology import Laurent
 from gridspin.moves import (
@@ -34,7 +35,7 @@ def test_parse_move_lines():
 
 
 def test_cyclic_round_trips():
-    G = grid.trefoil5()
+    G = trefoil5()
     assert apply_move(apply_move(G, MoveSpec("cyclic", direction="up")), MoveSpec("cyclic", direction="down")) == G
     H = G
     for _ in range(G.n):
@@ -45,7 +46,7 @@ def test_cyclic_round_trips():
 def test_commutation_legality():
     # columns 0,1 of the 2x2 unknot have spans [0,1] and [0,1]: interleaved
     with pytest.raises(MoveError) as err:
-        apply_move(grid.unknot2(), MoveSpec("commute_cols", index=0))
+        apply_move(unknot2(), MoveSpec("commute_cols", index=0))
     assert err.value.code == "IllegalCommutation"
     # nested spans commute: column 0 spans rows [0,3], column 1 rows [1,2]
     G = GridDiagram(4, (0, 1, 2, 3), (3, 2, 0, 1))
@@ -59,14 +60,14 @@ def test_commutation_legality():
 def test_commutation_preserves_link():
     rng = random.Random(2)
     for _ in range(40):
-        G = grid.random_grid(rng.randint(3, 6), rng)
+        G = random_grid(rng.randint(3, 6), rng)
         for mv in random_moves.legal_commutations(G):
             H = apply_move(G, mv)
             assert sorted(H.components.n_i) == sorted(G.components.n_i)
 
 
 def test_stabilize_all_variants():
-    G = grid.unknot2()
+    G = unknot2()
     for marker in "XO":
         for variant in moves.VARIANTS:
             H = apply_move(G, MoveSpec("stabilize", axis="row", index=0, marker=marker, variant=variant))
@@ -75,7 +76,7 @@ def test_stabilize_all_variants():
 
 
 def test_stabilize_by_column():
-    G = grid.trefoil5()
+    G = trefoil5()
     H = apply_move(G, MoveSpec("stabilize", axis="col", index=2, marker="O", variant="SE"))
     assert H.n == 6 and H.components.n_i == (6,)
 
@@ -91,8 +92,8 @@ def test_moves_match_the_oracle():
     # every input, bad ones included, on every grid with n <= 4 and on
     # seeded larger grids: the same grid or the same error code and message
     rng = random.Random(2701)
-    grids = [G for n in (2, 3, 4) for G in grid.all_grids(n)]
-    grids += [grid.random_grid(n, rng) for n in (5, 6, 7) for _ in range(4)]
+    grids = [G for n in (2, 3, 4) for G in all_grids(n)]
+    grids += [random_grid(n, rng) for n in (5, 6, 7) for _ in range(4)]
     for G in grids:
         n = G.n
         for axis in ("row", "col", "diag"):
@@ -113,7 +114,7 @@ def test_moves_match_the_oracle():
 @pytest.mark.parametrize("marker", ["", "XO"])
 def test_stabilize_refuses_marker_strings_other_than_one_letter(marker):
     with pytest.raises(MoveError, match=f"^bad stabilization {marker}NE$") as exc:
-        moves._stabilize(grid.unknot2(), "row", 0, marker, "NE")
+        moves._stabilize(unknot2(), "row", 0, marker, "NE")
     assert exc.value.code == "Parse"
 
 
@@ -125,10 +126,10 @@ def test_destabilize_inverts_stabilize():
     cases = []
     for _ in range(80):
         n = rng.randint(2, 5)
-        G = grid.random_grid(n, rng)
+        G = random_grid(n, rng)
         cases.append((G, "row", rng.randrange(n), rng.choice("XO"), rng.choice(moves.VARIANTS)))
     for n in (2, 3, 4):
-        for G in grid.all_grids(n):
+        for G in all_grids(n):
             for axis in ("row", "col"):
                 for index in range(n):
                     for marker in "XO":
@@ -149,13 +150,13 @@ def test_destabilize_inverts_stabilize():
 
 def test_destabilize_rejects_non_blocks():
     with pytest.raises(MoveError):
-        apply_move(grid.trefoil5(), MoveSpec("destabilize", position=(0, 0)))
+        apply_move(trefoil5(), MoveSpec("destabilize", position=(0, 0)))
 
 
 def test_stabilization_grows_one_component_row():
     rng = random.Random(13)
     for _ in range(30):
-        G = grid.random_grid(rng.randint(3, 5), rng)
+        G = random_grid(rng.randint(3, 5), rng)
         mv = random_moves.random_stabilization(G, rng)
         H = apply_move(G, mv)
         assert H.components.l == G.components.l
@@ -164,17 +165,17 @@ def test_stabilization_grows_one_component_row():
 
 
 def test_phi_vertical_example():
-    G = grid.unknot2()
+    G = unknot2()
     assert phi_cyclic_vertical(G, spin.spin_identity(2)) == spin.SpinElement((1, 0), 0)
 
 
 def test_phi_horizontal_example():
-    G = grid.unknot2()
+    G = unknot2()
     assert phi_cyclic_horizontal(G, spin.spin_identity(2)) == spin.SpinElement((1, 0), 1)
 
 
 def test_invariance_unknot_stabilization():
-    G = grid.unknot2()
+    G = unknot2()
     H = apply_move(G, MoveSpec("stabilize", axis="row", index=0, marker="X", variant="NE"))
     rep = invariance_report(G, H)
     assert rep.ok and rep.hat_equal and rep.tilde_factor_ok
@@ -182,13 +183,13 @@ def test_invariance_unknot_stabilization():
 
 
 def test_invariance_detects_difference():
-    rep = invariance_report(grid.unknot2(), grid.trefoil5())
+    rep = invariance_report(unknot2(), trefoil5())
     assert not rep.hat_equal and not rep.ok
 
 
 def test_invariance_renumbered_components():
     # swapping which component is numbered first must not matter
-    G = grid.hopf4()
+    G = hopf4()
     H = apply_move(apply_move(G, MoveSpec("cyclic", direction="left")), MoveSpec("cyclic", direction="left"))
     rep = invariance_report(G, H)
     assert rep.hat_equal
@@ -227,7 +228,7 @@ def test_invariance_component_map_runs_from_hat1_to_hat2(o_rows, x_rows, directi
 
 
 def test_apply_script_roundtrip():
-    G = grid.trefoil5()
+    G = trefoil5()
     script = parse_script("cyclic up\ncyclic left\ncyclic right\ncyclic down\n")
     assert apply_script(G, script) == G
 
@@ -235,7 +236,7 @@ def test_apply_script_roundtrip():
 def test_six_random_legal_moves_preserve_hat():
     rng = random.Random(99)
     for _ in range(2):
-        G = grid.random_grid(rng.randint(3, 5), rng)
+        G = random_grid(rng.randint(3, 5), rng)
         H = G
         for _ in range(6):
             H = apply_move(H, random_moves.random_move(H, rng, max_n=7))

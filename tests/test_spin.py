@@ -342,3 +342,13 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_cli_loads_neither_fractions_nor_decimal():
+    # half-integers print through homology.half_str; fractions would pull
+    # in decimal at every start of the command line
+    src = Path(spin.__file__).resolve().parent.parent
+    code = "import sys, gridspin.cli; print(sorted({'fractions', 'decimal', '_decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
