@@ -2,7 +2,9 @@
 
 Exit status: 0 success, 1 a verified property failed, 2 malformed input.
 All output is deterministic for fixed inputs and flags; randomized suites
-take an explicit --seed.
+take an explicit --seed.  A call builds only its own subcommand's
+arguments; every subcommand is still registered with its help, so usage
+lines and errors list them all.
 """
 from __future__ import annotations
 
@@ -37,9 +39,8 @@ def _load_grid(path: str) -> _grid.GridDiagram:
 def _load_bounded(path: str, command: str) -> _grid.GridDiagram:
     G = _load_grid(path)
     if G.n > MAX_N[command]:
-        raise _grid.GridError(
-            "TooLarge", f"grid size {G.n} exceeds the size bound n <= {MAX_N[command]} of the {command} command"
-        )
+        bound = f"the size bound n <= {MAX_N[command]} of the {command} command"
+        raise _grid.GridError("TooLarge", f"grid size {G.n} exceeds {bound}")
     return G
 
 
@@ -93,8 +94,7 @@ def _cmd_info(args) -> int:
 
 def _check_spin_relations(n: int, rng: random.Random) -> list[str]:
     failures = []
-    one = _spin.spin_identity(n)
-    z = _spin.central(n)
+    one, z = _spin.spin_identity(n), _spin.central(n)
     labels = [(a, b) for a in range(n) for b in range(n) if a != b]
     lifts = {lab: _spin.lift(n, lab) for lab in labels}
     if _spin.multiply(z, z) != one:
@@ -107,14 +107,10 @@ def _check_spin_relations(n: int, rng: random.Random) -> list[str]:
             failures.append(f"z not central at {lab}")
         if _spin.multiply(z, lifts[(lab[1], lab[0])]) != t:
             failures.append(f"flip relation fails at {lab}")
-    for l1 in labels:
-        for l2 in labels:
-            if set(l1) & set(l2):
-                continue
-            if _spin.multiply(lifts[l1], lifts[l2]) != _spin.multiply(
-                z, _spin.multiply(lifts[l2], lifts[l1])
-            ):
-                failures.append(f"disjoint anticommutation fails at {l1},{l2}")
+    for l1, l2 in itertools.product(labels, labels):
+        t1, t2 = lifts[l1], lifts[l2]
+        if not set(l1) & set(l2) and _spin.multiply(t1, t2) != _spin.multiply(z, _spin.multiply(t2, t1)):
+            failures.append(f"disjoint anticommutation fails at {l1},{l2}")
     for i, j, k in itertools.permutations(range(n), 3):
         lhs = _spin.multiply(_spin.multiply(lifts[(i, j)], lifts[(j, k)]), lifts[(i, j)])
         if lhs != lifts[(i, k)]:
@@ -126,13 +122,8 @@ def _check_spin_relations(n: int, rng: random.Random) -> list[str]:
             x, y, w = (rng.choice(perms) for _ in range(3))
         else:
             x, y, w = (tuple(rng.sample(range(n), n)) for _ in range(3))
-        prod = (
-            _spin.cocycle(y, w)
-            * _spin.cocycle(_spin.compose(x, y), w)
-            * _spin.cocycle(x, _spin.compose(y, w))
-            * _spin.cocycle(x, y)
-        )
-        if prod != 1:
+        xy, yw = _spin.compose(x, y), _spin.compose(y, w)
+        if _spin.cocycle(y, w) * _spin.cocycle(xy, w) * _spin.cocycle(x, yw) * _spin.cocycle(x, y) != 1:
             failures.append(f"cocycle condition fails at {x},{y},{w}")
     return failures
 
@@ -154,12 +145,9 @@ def _cmd_check(args) -> int:
             detail = "" if ok else f" ({len(bad)} offending compositions, first {bad[0]})"
         elif suite == "signs":
             ok = report.ok
-            detail = (
-                f" (square {report.square_pairs}, vertical {report.vertical_annuli},"
-                f" horizontal {report.horizontal_annuli})"
-                if ok
-                else f" (first violation {report.violations[0]})"
-            )
+            counts = f"square {report.square_pairs}, vertical {report.vertical_annuli}"
+            counts += f", horizontal {report.horizontal_annuli}"
+            detail = f" ({counts})" if ok else f" (first violation {report.violations[0]})"
         elif suite == "spin-relations":
             failures = _check_spin_relations(G.n, rng)
             ok = not failures
@@ -217,58 +205,56 @@ def _cmd_invariance(args) -> int:
     return OK if report.ok else FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridspin",
-        description="Integer link Floer chain complexes from grid diagrams",
-    )
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+_GRID, _JSON = _arg("grid"), _arg("--json", action="store_true")
+# name -> (help, the add_argument (flags, options) of each argument, handler)
+COMMANDS = {
+    "validate": ("validate a grid file", [_GRID], _cmd_validate),
+    "info": ("grid facts and optional generator gradings",
+             [_GRID, _arg("--generator", help="generator images, e.g. '1 0 2'")], _cmd_info),
+    "check": ("run verification suites on a grid", [
+        _GRID,
+        _arg("--d2", action="store_true", help="differential squares to zero"),
+        _arg("--signs", action="store_true", help="sign assignment axioms"),
+        _arg("--spin-relations", action="store_true", help="double-cover presentation relations"),
+        _arg("--mod2", action="store_true", help="mod-2 reduction matches the unsigned differential"),
+    ], _cmd_check),
+    "homology": ("bigraded homology of the fully graded complex",
+                 [_GRID, _arg("--flavor", choices=("tilde", "hat"), default="tilde"), _JSON], _cmd_homology),
+    "alexander": ("normalized Alexander polynomial", [_GRID], _cmd_alexander),
+    "move": ("apply a move script to a grid",
+             [_GRID, _arg("--script", required=True), _arg("-o", "--output", required=True)], _cmd_move),
+    "invariance": ("compare two grids' homology", [_arg("grid1"), _arg("grid2"), _JSON], _cmd_invariance),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gridspin parser.  Every subcommand is registered with its help,
+    so usage lines and errors list them all, but only ``command`` gets its
+    arguments, handler and -h; None builds every subcommand in full."""
+    parser = argparse.ArgumentParser(prog="gridspin", description="Integer link Floer chain complexes from grid diagrams")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a grid file")
-    p.add_argument("grid")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("info", help="grid facts and optional generator gradings")
-    p.add_argument("grid")
-    p.add_argument("--generator", help="generator images, e.g. '1 0 2'")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("check", help="run verification suites on a grid")
-    p.add_argument("grid")
-    p.add_argument("--d2", action="store_true", help="differential squares to zero")
-    p.add_argument("--signs", action="store_true", help="sign assignment axioms")
-    p.add_argument("--spin-relations", action="store_true", help="double-cover presentation relations")
-    p.add_argument("--mod2", action="store_true", help="mod-2 reduction matches the unsigned differential")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("homology", help="bigraded homology of the fully graded complex")
-    p.add_argument("grid")
-    p.add_argument("--flavor", choices=("tilde", "hat"), default="tilde")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("alexander", help="normalized Alexander polynomial")
-    p.add_argument("grid")
-    p.set_defaults(func=_cmd_alexander)
-
-    p = sub.add_parser("move", help="apply a move script to a grid")
-    p.add_argument("grid")
-    p.add_argument("--script", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_move)
-
-    p = sub.add_parser("invariance", help="compare two grids' homology")
-    p.add_argument("grid1")
-    p.add_argument("grid2")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariance)
+    for name, (help_, arguments, handler) in COMMANDS.items():
+        full = command is None or command == name
+        p = sub.add_parser(name, help=help_, add_help=full)
+        if full:
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse runs the first top-level positional, and a command name
+    # before it could only be the value of --seed, which fails as an int
+    # first: the first command name in argv is the command that runs
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         return args.func(args)
     except (_grid.GridError, _moves.MoveError) as exc:

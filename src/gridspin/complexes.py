@@ -22,7 +22,9 @@ oracles.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
 
 from .grid import GridDiagram
 from .spin import _peel, _right_mul
@@ -55,10 +57,8 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
     map, each with its own peel, bits and shapes (bottom row x[a]).
     """
     n = G.n
-    gens = list(itertools.permutations(range(n)))
-    index = {x: i for i, x in enumerate(gens)}
-    # tuple() of a list, not a generator: no resized tuple is left in CPython's free list
-    row = [index[tuple([(v + 1) % n for v in x])] for x in gens]
+    gens, index, row, _ = _generator_maps(n)
+    gens = list(gens)
     shapes = _shapes(G)
     rects = [None] * len(gens)
     for i in range(len(gens) // n):  # x[0] = 0: one generator per row orbit
@@ -84,6 +84,19 @@ def rectangle_table(G: GridDiagram) -> tuple[list, list]:
             rects[i] = records
             i, targets = row[i], [row[y] for y in targets]
     return gens, rects
+
+
+@functools.cache
+def _generator_maps(n: int) -> tuple:
+    """(gens, index, row, col) for the generators of size n, read-only:
+    the permutations in ``itertools.permutations`` order, the index of
+    each, and the index maps of x -> (x + 1) mod n and x -> x[1:] + x[:1]."""
+    gens = tuple(itertools.permutations(range(n)))
+    index = {x: i for i, x in enumerate(gens)}
+    # tuple() of a list, not a generator: no resized tuple is left in CPython's free list
+    row = tuple([index[tuple([(v + 1) % n for v in x])] for x in gens])
+    col = tuple([index[x[1:] + x[:1]] for x in gens])
+    return gens, MappingProxyType(index), row, col
 
 
 def _shapes(G: GridDiagram) -> list:
@@ -242,17 +255,15 @@ def _walk(gens: list, rects: list, starts) -> SignAxiomReport:
 def _translation_gauges(gens: list, rects: list) -> tuple | None:
     """(row, col, g_row, g_col), or None on a misaligned record or a
     mismatch: the index maps of x -> (x + 1) mod n and x -> x[1:] + x[:1],
-    and gauges g under which a record (x, l, y, b) translates to the bit
-    g(x) ^ g(y) ^ b.
+    which ``rectangle_table`` has cached in ``_generator_maps``, and gauges
+    g under which a record (x, l, y, b) translates to the bit g(x) ^ g(y) ^ b.
     A row translate keeps the record's place and label; a column translate
     relabels (a, b) as (a - 1, b - 1) mod n, moving the block a = 0 last.
     Every x but the identity (g = 0) has a descent, whose width-one strip
     leaves an earlier x, so one pass in generator order spreads both gauges.
     """
     n = len(gens[0])
-    index = {x: i for i, x in enumerate(gens)}
-    row = [index[tuple([(v + 1) % n for v in x])] for x in gens]  # a list: see rectangle_table
-    col = [index[x[1:] + x[:1]] for x in gens]
+    _, _, row, col = _generator_maps(n)
     shifted = {(a, b): ((a - 1) % n, (b - 1) % n) for a in range(n) for b in range(n) if a != b}
     unset = b"\0" + b"\2" * (len(gens) - 1)  # 2 until the pass spreads a bit there
     g_row, g_col = bytearray(unset), bytearray(unset)

@@ -1,8 +1,12 @@
+import argparse
 import codecs
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -386,3 +390,114 @@ def test_threads_positive(grid_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--threads", "2", "validate", path])
     assert exc.value.code == 2
+
+
+class _Parsed(Exception):
+    """Raised in place of running a command, carrying its parsed namespace."""
+
+
+def _parse(parser_of, argv):
+    """(exit code, stdout, stderr, vars of the namespace) of parsing argv, where
+    parser_of returns the parser; exit code None means the parse succeeded."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            parser_of(argv)
+        except _Parsed as parsed:
+            namespace = vars(parsed.args[0])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _full(argv):
+    # the reference: every subcommand built in full
+    raise _Parsed(cli.build_parser().parse_args(argv))
+
+
+def _through_main(monkeypatch):
+    """Parse argv the way ``main`` does, with the parser ``main`` builds, and
+    stop before the command runs."""
+    build = cli.build_parser
+
+    def spy(command=None):
+        parser = build(command)
+        parse = parser.parse_args
+
+        def stop(args):
+            raise _Parsed(parse(args))
+
+        parser.parse_args = stop
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    return cli.main
+
+
+def _random_argvs(count, seed):
+    """Token lists drawn from the command names, the options and their values."""
+    tokens = [*cli.COMMANDS, "bogus", "-h", "--help", "--seed", "--see", "--s", "--seed=2", "--", "-x",
+              "--d2", "--signs", "--spin-relations", "--mod2", "--flavor", "--flavor=hat", "--fl", "--json",
+              "--generator", "--script", "-o", "--output", "--bogus", "3", "-1", "x", "g", "hat", "tilde", "che"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield [rng.choice(tokens) for _ in range(rng.randrange(7))]
+
+
+def _golden_cases():
+    return json.loads((ROOT / "tests" / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+def test_parser_of_the_running_command_matches_the_full_parser(monkeypatch):
+    # main builds only the subcommand that runs; on the recorded commands,
+    # every help, the argparse errors and a seeded stream of random token
+    # lists it parses exactly as the parser with every subcommand does
+    monkeypatch.setenv("COLUMNS", "80")
+    main = _through_main(monkeypatch)
+    argvs = [case["argv"] for case in _golden_cases()]
+    argvs += [[name, "-h"] for name in cli.COMMANDS] + [["-h"], ["--help"], [], ["bogus"]]
+    argvs += [["--seed", "x", "check", "g"], ["--see", "3", "homology", "g"], ["homology", "g", "--bogus"],
+              ["--", "check", "g"], ["move", "g"]]
+    argvs += _random_argvs(3000, 3001)
+    outcomes = set()
+    for argv in argvs:
+        got = _parse(main, argv)
+        assert got == _parse(_full, argv), argv
+        outcomes.add(got[0])
+    # the stream reaches successful parses, helps and errors
+    assert outcomes == {None, 0, 2}
+
+
+def test_only_the_running_command_gets_its_arguments():
+    sub = lambda parser: next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    lean, full = sub(cli.build_parser("homology")), sub(cli.build_parser())
+    assert list(lean) == list(full) == list(cli.COMMANDS)
+    for name, parser in lean.items():
+        options = set(parser._option_string_actions)
+        if name == "homology":
+            assert options == {"-h", "--help", "--flavor", "--json"}
+        else:
+            assert options == set() and not parser._positionals._group_actions
+    assert {"-h", "--d2", "--signs", "--spin-relations", "--mod2"} <= set(full["check"]._option_string_actions)
+
+
+def test_main_leaves_no_parser_behind(capsys):
+    before = dict(vars(cli))
+    assert cli.main(["homology", str(ROOT / "grids" / "trefoil5.grid"), "--flavor", "hat", "--json"]) == 0
+    assert vars(cli) == before
+
+
+def _module_run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "gridspin.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def test_console_entry_reads_sys_argv():
+    # main() with no argv scans sys.argv[1:] for the command it builds
+    argv = ["homology", "grids/trefoil5.grid", "--flavor", "hat", "--json"]
+    want = next(case for case in _golden_cases() if case["argv"] == argv)
+    run = _module_run(*argv)
+    assert (run.returncode, run.stdout, run.stderr) == (want["exit"], want["stdout"], want["stderr"])
+    run = _module_run("check", "-h")
+    assert run.returncode == 0 and run.stdout.startswith("usage: gridspin check") and "--spin-relations" in run.stdout

@@ -20,7 +20,7 @@ from oracle_signs import (
 )
 from sample_grids import all_grids, hopf4, random_grid, trefoil5, unknot2
 from gridspin import grid, spin
-from gridspin.complexes import _orbits, _shapes, _translation_gauges, _walk, check_sign_axioms, mod2_mismatch, rectangle_table
+from gridspin.complexes import _generator_maps, _orbits, _shapes, _translation_gauges, _walk, check_sign_axioms, mod2_mismatch, rectangle_table
 from gridspin.grid import GridDiagram
 
 
@@ -583,3 +583,22 @@ def test_minus_differential_bidegree():
                     term = Ay[j - 1] - 2 * oj
                     assert term <= A[j - 1]
                     assert (term == A[j - 1]) == (xj == 0)
+
+
+def test_generator_maps_are_shared_and_read_only():
+    # rectangle_table and the gauge pass read one cached set of maps per n;
+    # nothing in it can be changed by a caller, and the table's generator
+    # list is the caller's own copy
+    G = random_grid(4, random.Random(2208))
+    _generator_maps.cache_clear()
+    gens, rects = rectangle_table(G)
+    maps = _generator_maps(4)
+    assert _translation_gauges(gens, rects)[:2] == maps[2:] and _generator_maps.cache_info().currsize == 1
+    all_gens, index, row, col = maps
+    assert list(all_gens) == gens == list(itertools.permutations(range(4)))
+    assert all(index[x] == i for i, x in enumerate(gens)) and len(index) == 24
+    assert isinstance(all_gens, tuple) and isinstance(row, tuple) and isinstance(col, tuple)
+    with pytest.raises(TypeError):
+        index[gens[0]] = 1
+    gens.reverse()
+    assert rectangle_table(G)[0] == list(all_gens) and _generator_maps(4) is maps
