@@ -2,8 +2,8 @@
 
 Exit status: 0 success, 1 a verified property failed, 2 malformed input.
 All output is deterministic for fixed inputs and flags; randomized suites
-take an explicit --seed.  A call builds only its own subcommand's
-arguments; every subcommand is still registered with its help, so usage
+take an explicit --seed.  A call builds a parser only for its own
+subcommand; every subcommand is still registered with its help, so usage
 lines and errors list them all.
 """
 from __future__ import annotations
@@ -233,15 +233,17 @@ COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The gridspin parser.  Every subcommand is registered with its help,
-    so usage lines and errors list them all, but only ``command`` gets its
-    arguments, handler and -h; None builds every subcommand in full."""
+    so usage lines and errors list them all, but only ``command`` gets a
+    parser, with its arguments, handler and -h; None builds every
+    subcommand in full."""
     parser = argparse.ArgumentParser(prog="gridspin", description="Integer link Floer chain complexes from grid diagrams")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a parser only for a full subcommand; the rest are a name in choices and a help line
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=lambda full, **options: argparse.ArgumentParser(**options) if full else None)
     for name, (help_, arguments, handler) in COMMANDS.items():
-        full = command is None or command == name
-        p = sub.add_parser(name, help=help_, add_help=full)
-        if full:
+        p = sub.add_parser(name, help=help_, full=command in (None, name))
+        if p is not None:
             for flags, options in arguments:
                 p.add_argument(*flags, **options)
             p.set_defaults(func=handler)

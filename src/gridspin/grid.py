@@ -10,7 +10,8 @@ inequality that integer row and column indices decide exactly.
 Per-grid tables serve the paths that visit every generator.  The homology
 path reads the packed grading weight of each lattice point
 (``grading_table``), summed along a depth-first walk of the permutation
-prefix tree (``graded_generators``), and for each left column and bottom
+prefix tree that enters only the prefixes of generators at or above an
+A_1 threshold (``graded_generators``), and for each left column and bottom
 row the smallest marker offset of each column span (``marker_caps``),
 read by the marker-free rectangle scan (``empty_rectangles``).  The scan
 of every empty rectangle, which ``check`` reads, lives beside its table
@@ -261,23 +262,35 @@ def graded_generators(
     carries its packed partial sum, and each child adds one entry of
     ``G.grading_table`` less its inversions, so about e n! node steps
     replace n steps per generator.  Inversions enter the Maslov field
-    alone, so a prefix's A_1 is the sum of its points' A_1 fields.  The
-    walk carries it too and drops a prefix whose A_1 cannot reach a2[0]
-    even if every later column took its largest A_1 weight.  Each
-    distinct key is decoded once, at the end, and the keys below a2 are
-    left out.  ``_descend`` is a module function: a nested function that
-    called itself would be a reference cycle holding every generator
-    until the next cyclic collection.
+    alone, so A_1 is a sum of point fields, which the walk carries too.
+    ``best[m]``, the largest A_1 sum of the last |m| columns on exactly
+    the rows of the bitmask m, lets it enter only the prefixes of
+    generators with A_1 >= a2[0].  Each distinct key is decoded once, at
+    the end, and the keys below a2 are left out.  ``_descend`` is a module
+    function: a nested function that called itself would be a reference
+    cycle holding every generator until the next cyclic collection.
     """
     n, l = G.n, G.components.l
     bits = _field_bits(n)
+    half, ones = 1 << (bits - 1), (1 << bits) - 1
     table = G.grading_table
-    alex1 = [[_unpack(w, bits, l)[1][0] for w in row] for row in table]
-    # floors[c]: the least A_1 of a prefix x[0..c] from which the columns
-    # after c can still reach the threshold
-    floors = [a2[0] - sum(map(max, alex1[c + 1:])) for c in range(n)]
+    # field 1 of each weight, as _unpack reads it
+    alex1 = [[((((w + half) >> bits) + half) & ones) - half for w in row] for row in table]
+    best = [0]
+    for m in range(1, 1 << n):
+        row1 = alex1[n - m.bit_count()]
+        r = m & (m - 1)  # m less its lowest row
+        top = row1[(m ^ r).bit_length() - 1] + best[r]
+        while r:
+            low = r & -r
+            r ^= low
+            a1 = row1[low.bit_length() - 1] + best[m ^ low]
+            if a1 > top:
+                top = a1
+        best.append(top)
     groups: dict[int, list[tuple[int, ...]]] = {}
-    _descend(table, alex1, floors, 0, 0, 0, tuple(range(n)), (), groups)
+    if best[-1] >= a2[0]:
+        _descend(table, alex1, best, a2[0], 0, 0, 0, tuple(range(n)), (1 << n) - 1, (), groups)
     graded = {}
     for key, xs in groups.items():
         bg = _unpack(key, bits, l)
@@ -286,24 +299,25 @@ def graded_generators(
     return graded
 
 
-def _descend(table: tuple[tuple[int, ...], ...], alex1: list[list[int]], floors: list[int],
-             c: int, key: int, a1: int, free: tuple[int, ...], prefix: tuple[int, ...],
+def _descend(table: tuple[tuple[int, ...], ...], alex1: list[list[int]], best: list[int], floor: int,
+             c: int, key: int, a1: int, free: tuple[int, ...], mask: int, prefix: tuple[int, ...],
              groups: dict[int, list[tuple[int, ...]]]) -> None:
-    """Extend ``prefix`` (columns 0..c-1, A_1 sum a1) by each free row in
-    increasing order whose A_1 keeps it at or above ``floors[c]``; the
-    free row of rank k has k free rows below it, which later columns
-    take: k inversions."""
-    row, row1, floor = table[c], alex1[c], floors[c]
+    """Extend ``prefix`` (columns 0..c-1, A_1 sum a1, free rows ``free``
+    in increasing order and as the bitmask ``mask``) by each free row v
+    with a1 + A_1(c, v) + best[mask - v] >= ``floor``; the free row of
+    rank k has k free rows below it, which later columns take: k
+    inversions.  The one row left for the last column passed that test
+    in its parent's loop."""
+    row, row1 = table[c], alex1[c]
     c += 1
     if c == len(table):
-        v = free[0]
-        if a1 + row1[v] >= floor:
-            groups.setdefault(key + row[v], []).append(prefix + free)
+        groups.setdefault(key + row[free[0]], []).append(prefix + free)
         return
     for k, v in enumerate(free):
         a = a1 + row1[v]
-        if a >= floor:
-            _descend(table, alex1, floors, c, key + row[v] - k, a, free[:k] + free[k + 1:],
+        rest = mask ^ 1 << v
+        if a + best[rest] >= floor:
+            _descend(table, alex1, best, floor, c, key + row[v] - k, a, free[:k] + free[k + 1:], rest,
                      prefix + (v,), groups)
 
 

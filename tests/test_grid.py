@@ -164,18 +164,33 @@ def test_gradings_match_oracle():
     assert sum(map(len, by_grading.values())) == 40320
 
 
+def _counting_walk(monkeypatch):
+    # every _descend call, one per visited prefix node, with its arguments
+    calls = []
+    descend = grid._descend
+
+    def counted(*args):
+        calls.append(args)
+        descend(*args)
+
+    monkeypatch.setattr(grid, "_descend", counted)
+    return calls
+
+
 def test_region_walk_is_the_filtered_full_walk(monkeypatch):
     # the walk pruned at 2A >= a2 (lexicographically) keeps exactly the
     # keys of the full walk at or above a2, with the same lists in the same
-    # order: a2 = 0 on every grid with n <= 5 and on seeded two- and
+    # order: a2 = 0 on every grid with n <= 5 and on seeded one-, two- and
     # three-component grids, other thresholds on a knot.  The full walk
     # is the one at a floor below every generator, which
-    # test_gradings_match_oracle holds to the per-generator grouping
+    # test_gradings_match_oracle holds to the per-generator grouping.  The
+    # pruning is exact: the walk visits the distinct prefixes x[0..c-1],
+    # 0 <= c < n, of the generators with A_1(x) >= a2[0] and no others
     import random
 
     grids = [G for n in (2, 3, 4, 5) for G in all_grids(n)]
     rng = random.Random(2502)
-    wanted = {(6, 2): 3, (6, 3): 2, (7, 2): 2, (7, 3): 2}
+    wanted = {(6, 1): 2, (6, 2): 3, (6, 3): 2, (7, 1): 2, (7, 2): 2, (7, 3): 2}
     while any(wanted.values()):
         G = random_grid(rng.choice((6, 7)), rng)
         if wanted.get((G.n, G.components.l)):
@@ -183,28 +198,48 @@ def test_region_walk_is_the_filtered_full_walk(monkeypatch):
             grids.append(G)
     T = torus_grid(3, 4)
     cases = [(G, (0,) * G.components.l) for G in grids]
-    cases += [(T, (a,)) for a in (-20, -7, -2, 1, 4, 6, 7)]
+    cases += [(T, (a,)) for a in (-20, -7, -2, 0, 1, 4, 6, 7)]
+    nodes = _counting_walk(monkeypatch)
+    visited = {}
     for G, a2 in cases:
         full = grid.graded_generators(G, below_every_generator(G))
         assert sum(map(len, full.values())) == math.factorial(G.n)
         want = [(bg, xs) for bg, xs in full.items() if bg[1] >= a2]
+        nodes.clear()
         assert list(grid.graded_generators(G, a2).items()) == want, (G, a2)
+        prefixes = {x[:c] for bg, xs in full.items() if bg[1][0] >= a2[0] for x in xs for c in range(G.n)}
+        assert len(nodes) == len(prefixes), (G, a2)
+        visited[G, a2] = len(nodes)
     assert {G.components.l for G in grids} == {1, 2, 3}
+    # T(3, 4) has 8,660 prefix nodes in all; 625 lead to 2A >= 0, and no
+    # generator reaches 2A = 7 (the top is 2g = 6), so the walk starts none
+    assert visited[T, (-20,)] == sum(math.perm(7, c) for c in range(7)) == 8660
+    assert (visited[T, (0,)], visited[T, (7,)]) == (625, 0)
 
-    # the pruned walk visits fewer prefix nodes than the full one
-    nodes = []
-    descend = grid._descend
 
-    def counted(*args):
-        nodes.append(None)
-        descend(*args)
+def test_completion_table_is_the_best_completion(monkeypatch):
+    # best[m], read off the walk's first call, is the largest A_1 sum that
+    # the last |m| columns take over every bijection onto the rows of m;
+    # best of every row is the largest A_1 of a generator
+    import random
 
-    monkeypatch.setattr(grid, "_descend", counted)
-    grid.graded_generators(T, below_every_generator(T))
-    full = len(nodes)
-    nodes.clear()
-    grid.graded_generators(T, (0,))
-    assert len(nodes) < full // 4, (len(nodes), full)
+    rng = random.Random(3103)
+    grids = [G for n in (2, 3) for G in all_grids(n)]
+    grids += [random_grid(n, rng) for n in (4, 5, 6) for _ in range(6)]
+    grids.append(torus_grid(3, 3))
+    calls = _counting_walk(monkeypatch)
+    for G in grids:
+        n, bits, l = G.n, grid._field_bits(G.n), G.components.l
+        calls.clear()
+        full = grid.graded_generators(G, below_every_generator(G))
+        best = calls[0][2]
+        alex1 = [[grid._unpack(w, bits, l)[1][0] for w in row] for row in G.grading_table]
+        assert len(best) == 2 ** n
+        for m in range(2 ** n):
+            rows = [v for v in range(n) if m >> v & 1]
+            sums = [sum(alex1[n - len(rows) + i][v] for i, v in enumerate(p)) for p in itertools.permutations(rows)]
+            assert best[m] == max(sums), (G, m)
+        assert best[-1] == max(bg[1][0] for bg in full), G
 
 
 def test_unpack_round_trips_at_the_field_bound():
